@@ -36,15 +36,6 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
   const int saved_threads = omp_get_max_threads();
   if (opts.num_threads > 0) omp_set_num_threads(static_cast<int>(opts.num_threads));
 
-  // Edge-phase schedule (DESIGN.md §11): equal contiguous spans per thread
-  // (schedule(static)) when edge_balanced, or the classic device layout of
-  // thread-cyclic 512-edge chunks (schedule(static, 512)) for the ablation
-  // baseline. Routed through schedule(runtime) so both loops stay one loop.
-  omp_sched_t saved_sched;
-  int saved_chunk;
-  omp_get_schedule(&saved_sched, &saved_chunk);
-  omp_set_schedule(omp_sched_static, opts.edge_balanced ? 0 : 512);
-
   std::vector<graph::Edge> edges;
   edges.reserve(g.num_edges());
   for (vid u = 0; u < n; ++u) {
@@ -58,7 +49,7 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
   // epoch[v] is the last round any signature of v moved. An edge whose
   // endpoints are both quiescent since before the previous round is already
   // at its fixpoint and is skipped.
-  std::vector<std::uint32_t> epoch(opts.frontier_gating ? n : 0, 0);
+  std::vector<std::uint32_t> epoch(n, 0);
   std::uint32_t round = 0;
   std::vector<vid> labels(n, graph::kInvalidVid);
   std::uint64_t labeled = 0;
@@ -75,19 +66,19 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
     std::uint32_t ov = load_relaxed(out[v]);
     if (opts.path_compression) ov = load_relaxed(out[ov]);
     if (ov > load_relaxed(out[u]) && store_max(out[u], ov)) {
-      if (opts.frontier_gating) stamp(u, r);
+      stamp(u, r);
       moved = true;
     }
     std::uint32_t iu = load_relaxed(in[u]);
     if (opts.path_compression) iu = load_relaxed(in[iu]);
     if (iu > load_relaxed(in[v]) && store_max(in[v], iu)) {
-      if (opts.frontier_gating) stamp(v, r);
+      stamp(v, r);
       moved = true;
     }
     return moved;
   };
 
-  // Chain chasing (the CPU translation of the device lever, DESIGN.md §15):
+  // Chain chasing (the CPU translation of the device chaser, DESIGN.md §15):
   // degree-one successor/predecessor maps over the CURRENT edge list, so a
   // chase never walks an edge Phase 3 has removed. Rebuilt each outer
   // iteration, after the compaction.
@@ -113,11 +104,11 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
     for (vid v = 0; v < n; ++v) {
       if (labels[v] == graph::kInvalidVid) {
         in[v] = out[v] = v;
-        if (opts.frontier_gating) epoch[v] = round;
+        epoch[v] = round;
       }
     }
 
-    if (opts.chain_chasing) build_chains();
+    build_chains();
 
     // Phase 2: propagate maxima to a fixed point.
     bool updated = true;
@@ -127,17 +118,16 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
       const std::uint32_t r = ++round;
       std::uint64_t skipped = 0;
       std::uint64_t chains = 0, steps = 0, longest = 0;
-#pragma omp parallel for schedule(runtime) reduction(|| : updated) \
+#pragma omp parallel for schedule(static) reduction(|| : updated) \
     reduction(+ : skipped, chains, steps) reduction(max : longest)
       for (std::size_t i = 0; i < edges.size(); ++i) {
         const auto [u, v] = edges[i];
-        if (opts.frontier_gating && load_relaxed(epoch[u]) + 1 < r &&
-            load_relaxed(epoch[v]) + 1 < r) {
+        if (load_relaxed(epoch[u]) + 1 < r && load_relaxed(epoch[v]) + 1 < r) {
           ++skipped;
           continue;
         }
         const bool moved = apply_edge(u, v, r);
-        if (moved && opts.chain_chasing) {
+        if (moved) {
           // Forward down v's successor chain, then backward up u's
           // predecessor chain, one shared budget (mirrors chase_chain in
           // core/propagate.hpp).
@@ -194,7 +184,7 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
 
     // Phase 3: compact the surviving edges into the spare worklist.
     std::atomic<std::size_t> next_size{0};
-#pragma omp parallel for schedule(runtime)
+#pragma omp parallel for schedule(static)
     for (std::size_t i = 0; i < edges.size(); ++i) {
       const auto [u, v] = edges[i];
       if (in[u] != in[v] || out[u] != out[v]) continue;
@@ -208,7 +198,6 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
     next_edges.resize(std::max(next_edges.size(), new_size));
   }
 
-  omp_set_schedule(saved_sched, saved_chunk);
   if (opts.num_threads > 0) omp_set_num_threads(saved_threads);
 
   result.labels = std::move(labels);

@@ -6,9 +6,12 @@
 // The max-ID-propagation algorithm is not GPU-specific: this is an
 // independent OpenMP translation of Algorithm 1 with the worklist and
 // path-compression optimizations, using relaxed atomic_ref stores for the
-// benign signature races. Besides demonstrating portability, it serves the
-// test suite as a second, independently coded implementation of the
-// paper's contribution.
+// benign signature races. Like the device solver it gates propagation on
+// per-vertex epoch stamps (DESIGN.md §10), gives each thread one equal
+// contiguous edge span (schedule(static), §11), and chases degree-one
+// chains of the current edge list (§15). Besides demonstrating portability,
+// it serves the test suite as a second, independently coded implementation
+// of the paper's contribution.
 
 #include "core/result.hpp"
 
@@ -18,19 +21,6 @@ struct EclOmpOptions {
   unsigned num_threads = 0;  ///< OpenMP threads; 0 keeps the runtime default
   bool path_compression = true;
   bool remove_scc_edges = true;
-  /// Per-vertex epoch stamps skip edges whose endpoints are both quiescent
-  /// (the CPU translation of the device hot path's gate, DESIGN.md §10).
-  bool frontier_gating = true;
-  /// Equal contiguous edge spans per thread in the edge phases (the CPU
-  /// translation of the device edge-balance lever, DESIGN.md §11): plain
-  /// schedule(static). Off mirrors the classic device distribution with
-  /// block-cyclic 512-edge chunks (schedule(static, 512)).
-  bool edge_balanced = true;
-  /// Vertical granularity control (the CPU translation of the device
-  /// chain-chasing lever, DESIGN.md §15): a thread that moves a vertex on a
-  /// degree-one chain of the current edge list walks the chain locally,
-  /// collapsing one-round-per-link propagation on path-like regions.
-  bool chain_chasing = true;
   std::uint32_t chain_cap = 64;  ///< bound on one local chase
 };
 

@@ -24,11 +24,8 @@ using device::SignatureStore;
 
 /// Per-run state shared by the kernels.
 struct EclState {
-  EclState(const Digraph& g, const EclOptions& opts)
-      : n(g.num_vertices()),
-        sigs(n, opts.min_max_signatures, opts.padded_signatures),
-        labels(n, graph::kInvalidVid),
-        worklist(g) {}
+  explicit EclState(const Digraph& g)
+      : n(g.num_vertices()), sigs(n), labels(n, graph::kInvalidVid), worklist(g) {}
 
   vid n;
   SignatureStore sigs;
@@ -47,11 +44,11 @@ struct EclState {
   std::atomic<std::uint64_t> edges_skipped{0};
   std::atomic<std::uint64_t> block_iterations{0};
 
-  /// High-diameter lever state (DESIGN.md §15). The chain index is rebuilt
-  /// lazily on the control thread (the worklist is frozen for the duration
-  /// of a Phase 2) the first time a round is sparse enough to chase; the
-  /// bag pointer is non-null only while a Phase-2 sweep with the hash-bag
-  /// lever ARMED is on the device.
+  /// High-diameter state (DESIGN.md §15). The chain index is rebuilt lazily
+  /// on the control thread (the worklist is frozen for the duration of a
+  /// Phase 2) the first time a round is sparse enough to chase; the bag
+  /// pointer is non-null only while a Phase-2 sweep with the hash bag ARMED
+  /// is on the device.
   detail::ChainIndex chain;
   bool chain_stale = true;  ///< worklist changed since the last chain build
   /// Worklist size at the last chain build: a build that found no links is
@@ -134,15 +131,15 @@ void restore_checkpoint(EclState& st, const EclOptions& opts, const CheckpointSt
       st.sigs.min_in(v).store(c.min_in[v], std::memory_order_relaxed);
       st.sigs.min_out(v).store(c.min_out[v], std::memory_order_relaxed);
     }
-    if (opts.frontier_gating) st.sigs.epoch(v).store(st.round, std::memory_order_relaxed);
+    st.sigs.epoch(v).store(st.round, std::memory_order_relaxed);
     if (st.labels[v] != graph::kInvalidVid) ++labeled;
   }
   st.labeled.store(labeled, std::memory_order_relaxed);
   st.changed.store(0, std::memory_order_relaxed);
 }
 
-/// The solver's propagation view: signatures, fault hook, and (during a
-/// bag-lever Phase-2 sweep) the mover bag. Built once per kernel block.
+/// The solver's propagation view: signatures, fault hook, and (during an
+/// armed Phase-2 sweep) the mover bag. Built once per kernel block.
 detail::SigView sig_view(EclState& st) noexcept {
   return {st.sigs, st.fault, st.active_bag};
 }
@@ -171,13 +168,12 @@ void phase1_init(EclState& st, device::Device& dev, const EclOptions& opts) {
                 st.sigs.min_out(v).store(static_cast<std::uint32_t>(v),
                                          std::memory_order_relaxed);
               }
-              if (opts.frontier_gating)
-                st.sigs.epoch(v).store(round, std::memory_order_relaxed);
+              st.sigs.epoch(v).store(round, std::memory_order_relaxed);
             }
           }
         });
       },
-      {.idempotent = true, .work_stealing = opts.work_stealing});
+      {.idempotent = true});
 }
 
 /// Runs the Phase-2 fixpoint. Returns false if the watchdog aborted it
@@ -204,26 +200,22 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
   // gate keeps an edge live iff an endpoint moved in the previous round,
   // and the bag records precisely those movers — so the fixpoint and labels
   // are unchanged; late deep-mesh rounds just stop paying O(m) per level.
-  // Forced off under a phase2_hook: the hook's merges raise signatures the
-  // bag never observed, so the mover set would be incomplete.
-  const bool bag_enabled = opts.hashbag_frontier && !opts.phase2_hook;
-  if (bag_enabled && !st.bag_store)
-    st.bag_store.emplace(std::max<std::uint64_t>(256, m / 8));
-  device::HashBag* const bag = bag_enabled ? &*st.bag_store : nullptr;
+  if (!st.bag_store) st.bag_store.emplace(std::max<std::uint64_t>(256, m / 8));
+  device::HashBag* const bag = &*st.bag_store;
   st.active_bag = nullptr;
   std::vector<vid> frontier;
   // False forces a dense round: at entry (Phase 1 moved everything), after
   // bag saturation, and implicitly after a checkpoint resume (phase 2 is
   // re-entered fresh).
   bool frontier_known = false;
-  // Round-level adaptivity (§15): both levers pay per-store / per-edge
-  // overhead that only amortizes once the active frontier is sparse, so
+  // Round-level adaptivity (§15): the bag and the chaser pay per-store /
+  // per-edge overhead that only amortizes once the active frontier is
+  // sparse, so
   // every round keys off the PREVIOUS round's first-sweep active-edge
   // count. The bag is armed (mover inserts live) only below kArmFactor x
   // the sparse threshold; chases fire only below kChaseDensity. Round 1 is
-  // always dense, unarmed, and unchased (last_active starts at m), and a
-  // gating-off run never sees a sub-m count, so the levers idle there —
-  // the §10 epoch gate is the densitometer. The incidence index is only
+  // always dense, unarmed, and unchased (last_active starts at m): the §10
+  // epoch gate is the densitometer. The incidence index is only
   // built once the sparse dip persists for a second round: a one-off dip
   // (circuit5M's single sparse round) must not pay the O(m) build.
   constexpr double kArmFactor = 4.0;
@@ -280,20 +272,18 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
     const std::uint64_t processed_before = st.edges_processed.load(std::memory_order_relaxed);
     const std::uint64_t skipped_before = st.edges_skipped.load(std::memory_order_relaxed);
     const double arm_band = futile_arms >= kFutileArmLimit ? 1.0 : kArmFactor;
-    const bool armed = bag_enabled &&
-                       static_cast<double>(last_active) <
-                           arm_band * opts.hashbag_density * static_cast<double>(m);
+    const bool armed = static_cast<double>(last_active) <
+                       arm_band * opts.hashbag_density * static_cast<double>(m);
     st.active_bag = armed ? bag : nullptr;
     if (armed) bag->begin_round(r);
 
     bool chase_now = false;
-    if (opts.chain_chasing &&
-        static_cast<double>(last_active) < opts.chain_density * static_cast<double>(m)) {
+    if (static_cast<double>(last_active) < opts.chain_density * static_cast<double>(m)) {
       if (st.chain_stale) {
         // A build that found no links stays authoritative until the
         // worklist shrinks materially (>= 25%): rebuilding a chainless
         // worklist every outer iteration is O(m) of pure overhead
-        // (circuit5M pays it in every lever config otherwise).
+        // (circuit5M pays it otherwise).
         const bool chainless_still = !st.chain.empty() && !st.chain.useful() &&
                                      m * 4 > st.chain_built_m * 3;
         if (!chainless_still) {
@@ -306,7 +296,7 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
     }
 
     const bool sparse_ok =
-        bag_enabled && frontier_known &&
+        frontier_known &&
         static_cast<double>(frontier.size()) < opts.hashbag_density * static_cast<double>(m);
     sparse_streak = sparse_ok ? sparse_streak + 1 : 0;
     const bool sparse = sparse_ok && (sparse_streak >= 2 || !inc_off.empty());
@@ -382,8 +372,7 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
               do {
                 local_changed = false;
                 ++local_iters;
-                for_each_owned(ctx, a, opts.edge_balanced,
-                               [&](std::uint64_t lo, std::uint64_t hi) {
+                for_each_owned(ctx, a, [&](std::uint64_t lo, std::uint64_t hi) {
                   if (local_iters == 1) local_assigned += hi - lo;
                   for (std::uint64_t k = lo; k < hi; ++k) {
                     const graph::Edge e = edges[act[k]];
@@ -417,7 +406,7 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
               }
               dev.record_block_work(ctx.block_id, local_assigned);
             },
-            {.idempotent = true, .work_stealing = opts.work_stealing});
+            {.idempotent = true});
       }
     } else {
       dev.launch(
@@ -434,13 +423,11 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
             do {
               local_changed = false;
               ++local_iters;
-              for_each_owned(ctx, m, opts.edge_balanced,
-                             [&](std::uint64_t lo, std::uint64_t hi) {
+              for_each_owned(ctx, m, [&](std::uint64_t lo, std::uint64_t hi) {
                 if (local_iters == 1) local_assigned += hi - lo;
                 for (std::uint64_t i = lo; i < hi; ++i) {
                   const graph::Edge e = edges[i];
-                  if (opts.frontier_gating && st.sigs.epoch_of(e.src) + 1 < r &&
-                      st.sigs.epoch_of(e.dst) + 1 < r) {
+                  if (st.sigs.epoch_of(e.src) + 1 < r && st.sigs.epoch_of(e.dst) + 1 < r) {
                     ++local_skipped;
                     continue;
                   }
@@ -486,55 +473,43 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
               device::atomic_fetch_max_u64(st.max_chain_len, local_longest);
             }
             // The imbalance histogram measures ASSIGNMENT skew — the edges
-            // this block owns per sweep, the quantity the edge-balance lever
-            // controls. Async in-block re-iteration counts are a convergence
+            // this block owns per sweep, the quantity equal edge spans
+            // control. Async in-block re-iteration counts are a convergence
             // property with their own metric (block_iterations).
             dev.record_block_work(ctx.block_id, local_assigned);
           },
-          {.idempotent = true, .work_stealing = opts.work_stealing});
+          {.idempotent = true});
       last_active = st.active_seen.load(std::memory_order_relaxed);
     }
 
-    if (opts.frontier_gating || sparse) {
-      const std::uint64_t processed =
-          st.edges_processed.load(std::memory_order_relaxed) - processed_before;
-      if (!sparse && st.edges_skipped.load(std::memory_order_relaxed) > skipped_before)
-        ++metrics.frontier_rounds;
-      // A shrinking active frontier is fixpoint progress even while labels
-      // and worklist size are frozen mid-Phase-2; let the wall-clock
-      // watchdog see it (it ignores flat or growing frontiers).
-      watchdog.observe_phase2_round(processed);
-    }
-
-    // Fleet fixpoint hook (DESIGN.md §13): at this grid barrier an external
-    // coordinator may merge boundary signatures into the store and replace
-    // the local movement flag with a GLOBAL quiescence verdict, keeping the
-    // sweep loop alive while any peer shard still moves.
-    bool sweep_again = st.changed.load(std::memory_order_relaxed) != 0;
-    if (opts.phase2_hook) sweep_again = opts.phase2_hook(sweep_again, st.round);
+    if (!sparse && st.edges_skipped.load(std::memory_order_relaxed) > skipped_before)
+      ++metrics.frontier_rounds;
+    // A shrinking active frontier is fixpoint progress even while labels and
+    // worklist size are frozen mid-Phase-2; let the wall-clock watchdog see
+    // it (it ignores flat or growing frontiers).
+    watchdog.observe_phase2_round(st.edges_processed.load(std::memory_order_relaxed) -
+                                  processed_before);
+    const bool sweep_again = st.changed.load(std::memory_order_relaxed) != 0;
 
     // Harvest the mover bag at the grid barrier: it becomes the candidate
     // frontier for the next round. An unarmed round tracked nothing (the
     // frontier was too dense to be worth it); a saturated bag means the
     // mover set is incomplete — either way the next round falls back dense.
-    if (bag_enabled) {
-      if (!armed) {
-        frontier_known = false;
-      } else if (bag->saturated()) {
-        frontier_known = false;
-        bag->grow(bag->capacity() * 2);
-      } else {
-        const std::span<const vid> items = bag->items();
-        frontier.assign(items.begin(), items.end());
-        frontier_known = true;
-        if (frontier.size() * 2 > bag->capacity()) bag->grow(frontier.size() * 4);
-      }
-      if (armed) {
-        const bool paid_off =
-            frontier_known && static_cast<double>(frontier.size()) <
-                                  opts.hashbag_density * static_cast<double>(m);
-        futile_arms = paid_off ? 0 : futile_arms + 1;
-      }
+    if (!armed) {
+      frontier_known = false;
+    } else if (bag->saturated()) {
+      frontier_known = false;
+      bag->grow(bag->capacity() * 2);
+    } else {
+      const std::span<const vid> items = bag->items();
+      frontier.assign(items.begin(), items.end());
+      frontier_known = true;
+      if (frontier.size() * 2 > bag->capacity()) bag->grow(frontier.size() * 4);
+    }
+    if (armed) {
+      const bool paid_off = frontier_known && static_cast<double>(frontier.size()) <
+                                                  opts.hashbag_density * static_cast<double>(m);
+      futile_arms = paid_off ? 0 : futile_arms + 1;
     }
     if (!sweep_again) break;
 
@@ -585,7 +560,7 @@ void detect_components(EclState& st, device::Device& dev, const EclOptions& opts
         });
         st.labeled.fetch_add(local, std::memory_order_relaxed);
       },
-      {.idempotent = true, .work_stealing = opts.work_stealing});
+      {.idempotent = true});
 }
 
 void phase3_remove_edges(EclState& st, device::Device& dev, const EclOptions& opts,
@@ -601,7 +576,7 @@ void phase3_remove_edges(EclState& st, device::Device& dev, const EclOptions& op
         // destructor flushes the partial last chunk before the grid barrier.
         EdgeWorklist::ChunkAppender chunk(st.worklist);
         std::uint64_t local_examined = 0;
-        for_each_owned(ctx, m, opts.edge_balanced, [&](std::uint64_t lo, std::uint64_t hi) {
+        for_each_owned(ctx, m, [&](std::uint64_t lo, std::uint64_t hi) {
           local_examined += hi - lo;
           for (std::uint64_t i = lo; i < hi; ++i) {
             const graph::Edge e = edges[i];
@@ -619,15 +594,12 @@ void phase3_remove_edges(EclState& st, device::Device& dev, const EclOptions& op
             }
             if (opts.remove_scc_edges && st.labels[e.src] != graph::kInvalidVid)
               continue;  // inside a completed SCC: no longer needed (§3.3)
-            if (opts.chunked_worklist)
-              chunk.push(e);
-            else
-              st.worklist.push_next(e);
+            chunk.push(e);
           }
         });
         dev.record_block_work(ctx.block_id, local_examined);
       },
-      {.idempotent = false, .work_stealing = opts.work_stealing});
+      {.idempotent = false});
   const std::size_t before = st.worklist.size();
   st.worklist.swap_buffers();
   metrics.edges_removed += before - st.worklist.size();
@@ -685,91 +657,35 @@ void remap_labels_to_original(SccResult& result, const std::vector<vid>& perm) {
   result.labels = std::move(original);
 }
 
-/// Cheap pre-scan predictor for the hub-reorder lever (the first step of the
-/// per-graph adaptive policy engine, ROADMAP item 1). Relabeling pays off
-/// when propagation is hub-coupled: the degree distribution must be skewed
-/// THROUGHOUT, so that clustering hubs co-locates the signature slots the
+/// Cheap pre-scan predictor for the hub reorder: the one per-graph choice
+/// the solver makes, from its input rather than from an option. Relabeling
+/// pays off when propagation is hub-coupled: the degree distribution must
+/// be skewed THROUGHOUT, so that clustering hubs co-locates the slots the
 /// sweep keeps re-reading. It loses when a heavy tail sits on an otherwise
 /// near-regular graph (cage14, circuit5M: matrix/circuit topologies with a
 /// few high-degree outliers) — the permutation + remap overhead buys
 /// nothing because most edges never touch a hub. The separating feature,
-/// measured across the BENCH_loadbalance suite, is the coefficient of
-/// variation of the out-degree: reorder winners (wikipedia 1.95, wiki-Talk
-/// 1.90, web-Google 1.87, com-Youtube 2.51 — 1.3x to 2.2x on the reorder
-/// axis) all sit >= 1.87, losers (cage14 1.46, circuit5M 1.56 — 0.91x and
-/// 0.92x) below 1.6; 1.75 splits the gap. Hub-mass fractions (top log2
-/// buckets / total edge mass) were tried first and do NOT separate: both
-/// classes carry only 1-5% of their edge mass in the hubs.
+/// measured across the load-balance ablation suite (EXPERIMENTS.md), is the
+/// coefficient of variation of the out-degree: reorder winners (wikipedia
+/// 1.95, wiki-Talk 1.90, web-Google 1.87, com-Youtube 2.51 — 1.3x to 2.2x
+/// on the reorder axis) all sit >= 1.87, losers (cage14 1.46, circuit5M
+/// 1.56 — 0.91x and 0.92x) below 1.6; 1.75 splits the gap. Hub-mass
+/// fractions (top log2 buckets / total edge mass) were tried first and do
+/// NOT separate: both classes carry only 1-5% of their edge mass in the
+/// hubs.
 bool hub_reorder_profitable(const graph::DegreeStats& stats) {
   if (!graph::looks_power_law(stats)) return false;  // meshes: permutation = identity
   if (stats.avg <= 0.0) return false;
   return stats.stddev_out / stats.avg >= 1.75;
 }
 
-}  // namespace
-
-EclOptions ecl_all_optimizations_off() {
-  EclOptions opts;
-  opts.async_phase2 = false;
-  opts.remove_scc_edges = false;
-  opts.path_compression = false;
-  opts.persistent_threads = false;
-  return opts;
-}
-
-EclOptions ecl_hotpath_levers_off() {
-  EclOptions opts = ecl_loadbalance_levers_off();
-  opts.chunked_worklist = false;
-  opts.frontier_gating = false;
-  opts.padded_signatures = false;
-  return opts;
-}
-
-EclOptions ecl_loadbalance_levers_off() {
-  EclOptions opts = ecl_highdiameter_levers_off();
-  opts.work_stealing = false;
-  opts.edge_balanced = false;
-  opts.hub_reorder = false;
-  return opts;
-}
-
-EclOptions ecl_highdiameter_levers_off() {
-  EclOptions opts;
-  opts.chain_chasing = false;
-  opts.hashbag_frontier = false;
-  return opts;
-}
-
-SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts) {
-  // Hub-clustering reorder (DESIGN.md §11): run on the relabeled graph,
-  // then remap labels back. Skipped whenever the permutation would be the
-  // identity (uniform-degree inputs) and under min_max_signatures (see
-  // EclOptions::hub_reorder).
-  // The degree-skew pre-scan gates the lever per graph: an O(n) stats pass
-  // predicts whether hub relabeling will pay for the permutation + remap.
-  // Out-degree-only stats keep the rejected path cheap — the full variant's
-  // O(m) in-degree pass showed up as ~10% on small fast-solving graphs.
-  // Labels are unaffected either way — the remap already guarantees
-  // bit-identity with the unreordered run.
-  if (opts.hub_reorder && !opts.min_max_signatures &&
-      hub_reorder_profitable(graph::compute_out_degree_stats(g))) {
-    const std::vector<vid> perm = graph::hub_clustering_permutation(g);
-    if (!perm.empty()) {
-      const Digraph reordered = graph::apply_permutation(g, perm);
-      EclOptions inner = opts;
-      inner.hub_reorder = false;
-      SccResult result = ecl_scc(reordered, dev, inner);
-      remap_labels_to_original(result, perm);
-      result.metrics.hub_reorder_applied = true;
-      return result;
-    }
-  }
-
+/// One ECL-SCC solve of `g` as given (no relabeling).
+SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
   const vid n = g.num_vertices();
   SccResult result;
   if (n == 0) return result;
 
-  EclState st(g, opts);
+  EclState st(g);
   if (dev.fault_active() &&
       (dev.fault().plan().delayed_visibility || dev.fault().plan().lost_update))
     st.fault = &dev.fault();
@@ -926,6 +842,40 @@ SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts)
   if (first_trip_seconds >= 0)
     result.metrics.recovery_seconds = run_timer.seconds() - first_trip_seconds;
   return result;
+}
+
+}  // namespace
+
+EclOptions ecl_all_optimizations_off() {
+  EclOptions opts;
+  opts.async_phase2 = false;
+  opts.remove_scc_edges = false;
+  opts.path_compression = false;
+  opts.persistent_threads = false;
+  return opts;
+}
+
+SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts) {
+  // Hub-clustering reorder (DESIGN.md §11), gated per graph by the
+  // degree-skew pre-scan: an O(n) out-degree stats pass predicts whether
+  // relabeling pays for the permutation + remap. Out-degree-only stats keep
+  // the rejected path cheap — the full variant's O(m) in-degree pass showed
+  // up as ~10% on small fast-solving graphs. Skipped when the permutation
+  // is the identity and under min_max_signatures (min-side labels name by
+  // minimum member, which a max-member remap cannot reproduce). Labels are
+  // unaffected either way: the remap names every component by its maximum
+  // ORIGINAL member, bit-identical to the unreordered solve.
+  if (!opts.min_max_signatures &&
+      hub_reorder_profitable(graph::compute_out_degree_stats(g))) {
+    const std::vector<vid> perm = graph::hub_clustering_permutation(g);
+    if (!perm.empty()) {
+      SccResult result = solve(graph::apply_permutation(g, perm), dev, opts);
+      remap_labels_to_original(result, perm);
+      result.metrics.hub_reorder_applied = true;
+      return result;
+    }
+  }
+  return solve(g, dev, opts);
 }
 
 device::Device& shared_device() {

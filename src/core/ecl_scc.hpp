@@ -27,7 +27,6 @@
 // lifted with out[v]; symmetrically for out[u]. The fixed point then equals
 // Algorithm 1's exactly (see DESIGN.md).
 
-#include <functional>
 #include <vector>
 
 #include "core/result.hpp"
@@ -100,64 +99,18 @@ struct EclOptions {
   /// Off by default, like the paper's shipped configuration.
   bool min_max_signatures = false;
 
-  // --- Hot-path levers (DESIGN.md §10). Each preserves the exact fixpoint,
-  // labeling, and overflow/fault semantics of the seed implementation and
-  // is independently toggleable for the bench_hotpath ablation. -----------
-  /// Phase-3 survivors are staged per block and committed to the next
-  /// worklist buffer with one cursor fetch_add per chunk instead of one per
-  /// edge (EdgeWorklist::ChunkAppender).
-  bool chunked_worklist = true;
-  /// Per-vertex epoch stamps let propagation sweeps skip edges whose
-  /// endpoints are both quiescent, turning late fixpoint rounds from full
-  /// re-sweeps into near-empty ones. Savings are reported in
-  /// SccMetrics::edges_skipped / frontier_rounds.
-  bool frontier_gating = true;
-  /// Store each vertex's signature state in its own 64-byte-aligned slot
-  /// (device/signature_store.hpp) instead of densely packed SoA arrays, so
-  /// pool threads never false-share signature cache lines.
-  bool padded_signatures = true;
-
-  // --- Load-balance levers (DESIGN.md §11). Like the §10 levers, each is a
-  // pure performance transform: all 8 combinations produce bit-identical
-  // labels, fault semantics unchanged. ------------------------------------
-  /// Distribute kernel blocks over per-worker claim ranges with
-  /// steal-from-most-loaded (device/thread_pool.hpp) instead of one shared
-  /// claim cursor, and use the pool's spin-then-park barrier between
-  /// back-to-back launches.
-  bool work_stealing = true;
-  /// Phases 2/3 partition the flat edge worklist into equal contiguous
-  /// EDGE spans per block (device/edge_partition.hpp) instead of
-  /// block-cyclic thread-width chunks: each sweep scans the worklist once
-  /// in order, and per-block edge work is reported to the device's
-  /// imbalance histogram (LaunchStats::block_imbalance).
-  bool edge_balanced = true;
-  /// Relabel the graph with the hub-clustering permutation
-  /// (graph/permute.hpp) before the run and remap the labels back (naming
-  /// each component by its maximum ORIGINAL member, so raw labels stay
-  /// bit-identical to the unreordered run). Top IDs on the widest-fan-out
-  /// vertices make the winning max-ID saturate power-law clusters in few
-  /// propagation rounds. Skipped when the permutation is the identity and
-  /// under min_max_signatures (min-side labels name by minimum member,
-  /// which a max-member remap cannot reproduce).
-  bool hub_reorder = true;
-  // --- High-diameter levers (DESIGN.md §15). Pure performance transforms
-  // like the §10/§11 levers: every combination produces bit-identical
-  // labels. Both target deep SCC-DAGs (meshes), where level-synchronous
-  // rounds are the bottleneck. ---------------------------------------------
-  /// Vertical granularity control (Wang et al., PAPERS.md): when a
-  /// propagation step moves a vertex that has exactly ONE unsettled
-  /// worklist successor, the worker chases that single-successor chain
-  /// locally instead of waiting a full round per link, collapsing
-  /// O(diameter) rounds into O(diameter / chain_cap). Chains are confined
-  /// to the CURRENT worklist (never the raw CSR: Phase 3 removes cross-SCC
-  /// edges, and propagating along a removed edge would be unsound).
-  bool chain_chasing = true;
+  // --- Tuning values of the post-paper paths (DESIGN.md §10, §11, §15).
+  // Those paths are not options: chunked Phase-3 appends, frontier gating,
+  // padded signature slots, work stealing, equal edge spans, the gated hub
+  // reorder, chain chasing and the hash-bag frontier always run. These
+  // values only set when the adaptive ones engage; tests use them to force
+  // the chaser and the sparse path on small graphs. ------------------------
   /// Bound on one local chase (forward plus backward), keeping per-worker
-  /// granularity bounded. Ignored when chain_chasing is off. Deep meshes
-  /// routinely saturate a small cap (mobius-strip chases hit 64 exactly);
-  /// with per-round chase dedup (ChainIndex round stamps) a long chase is
-  /// walked once per round, so a generous cap collapses more rounds
-  /// without the quadratic re-walk risk that made small caps necessary.
+  /// granularity bounded. Deep meshes routinely saturate a small cap
+  /// (mobius-strip chases hit 64 exactly); with per-round chase dedup
+  /// (ChainIndex round stamps) a long chase is walked once per round, so a
+  /// generous cap collapses more rounds without the quadratic re-walk risk
+  /// that made small caps necessary.
   std::uint32_t chain_cap = 256;
   /// Active-edge / worklist-size ratio below which a round chases. Dense
   /// heavy-movement rounds visit every chain edge anyway, so a chase there
@@ -165,18 +118,12 @@ struct EclOptions {
   /// collapses whole rounds. Matches hashbag_density: the chase pays off in
   /// exactly the rounds the sparse frontier targets. Values >= 1 chase from
   /// the first round whose active count drops below m (tests use this to
-  /// force the chaser).
+  /// force the chaser); 0 never chases.
   double chain_density = 0.05;
-  /// Hash-bag sparse frontier (device/hash_bag.hpp): every signature
-  /// movement in round r registers the vertex in a concurrent dedup bag;
-  /// when the mover set is below hashbag_density of the worklist, round
-  /// r+1 visits only edges incident to those movers instead of
-  /// gate-scanning the whole worklist. Falls back to the dense sweep when
-  /// the frontier re-densifies or the bag saturates. Forced off when a
-  /// phase2_hook is installed (the hook's merges raise vertices the bag
-  /// never saw) — the sharded fleet instead keeps chain chasing per shard.
-  bool hashbag_frontier = true;
-  /// Mover-count / worklist-size ratio below which a round goes sparse.
+  /// Mover-count / worklist-size ratio below which a round's successor
+  /// visits only the edges incident to its movers (the hash-bag sparse
+  /// frontier, device/hash_bag.hpp) instead of gate-scanning the worklist.
+  /// 0 keeps every round dense (the registry's ecl-loadbalance).
   double hashbag_density = 0.05;
 
   /// Safety guard on outer iterations; 0 means |V| + 2 (the theoretical
@@ -190,44 +137,11 @@ struct EclOptions {
   /// Checkpointed resume (DESIGN.md §12): snapshot cadence and the bounded
   /// replay count attempted before a trip escalates to stall_policy.
   CheckpointConfig checkpoint;
-
-  /// Fixpoint round hook (DESIGN.md §13): invoked on the control thread at
-  /// every Phase-2 grid barrier, after the sweep's movement flag is read
-  /// and before the loop decides whether to run another sweep.
-  /// `local_changed` is this solver's own movement; the return value
-  /// REPLACES it as the continue condition. An external coordinator can
-  /// merge boundary signatures into the store here (the grid barrier makes
-  /// it race-free) and keep the sweep loop alive until GLOBAL — not merely
-  /// local — quiescence: max-merges commute with the in-kernel monotone
-  /// stores, so a merge at this barrier is equivalent to the merged edges
-  /// having been processed by the sweep itself. `round` is the global
-  /// round clock; a hook that raises a signature under frontier_gating
-  /// must stamp the vertex's epoch with it. Null = local movement decides
-  /// (single-device behavior).
-  std::function<bool(bool local_changed, std::uint32_t round)> phase2_hook;
 };
 
-/// All-off configuration (the "disable all 4" bar of Fig. 14). The hot-path
-/// levers are left at their defaults: they postdate the paper's ablation.
+/// All-off configuration (the "disable all 4" bar of Fig. 14). The
+/// post-paper levers stay on: they postdate the paper's ablation.
 EclOptions ecl_all_optimizations_off();
-
-/// Default configuration with all six post-paper levers disabled — the
-/// three §10 hot-path levers (chunked_worklist, frontier_gating,
-/// padded_signatures) AND the three §11 load-balance levers
-/// (work_stealing, edge_balanced, hub_reorder). This is the seed
-/// implementation's behavior, registered as `ecl-classic`.
-EclOptions ecl_hotpath_levers_off();
-
-/// Default configuration with only the three §11 load-balance levers
-/// disabled (hot-path levers stay on) — the PR-4 hot path, registered as
-/// `ecl-hotpath`, and the baseline bench_loadbalance measures against.
-EclOptions ecl_loadbalance_levers_off();
-
-/// Default configuration with only the §15 high-diameter levers disabled
-/// (chain_chasing, hashbag_frontier; fb_trim's multi_pivot/trim_chase are
-/// the FbOptions analogues) — the PR-5 all-on configuration, registered as
-/// `ecl-loadbalance`, and the baseline bench_highdiameter measures against.
-EclOptions ecl_highdiameter_levers_off();
 
 /// Runs ECL-SCC on the given virtual device. Labels are the maximum vertex
 /// ID of each component (§3.2.1).

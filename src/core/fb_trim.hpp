@@ -28,9 +28,9 @@ struct FbOptions {
   /// block-cyclic distribution over frontier VERTICES.
   bool edge_balanced = true;
 
-  // --- High-diameter levers (DESIGN.md §15). These are FB-Trim's analogues
-  // of the EclOptions §15 levers (fb_trim takes FbOptions, not EclOptions);
-  // ecl_highdiameter_levers_off()'s counterpart here is turning both off. --
+  // --- High-diameter options (DESIGN.md §15). These are FB-Trim's analogues
+  // of ECL-SCC's chain chaser and sparse frontier; turning both off gives
+  // the classic single-pivot FB-Trim. -----------------------------------
   /// Per-color pivot SETS instead of a single pivot: up to max_pivots
   /// pivots per color, drawn by seeded degree-weighted sampling without
   /// replacement, so one forward/backward sweep amortizes its BFS levels

@@ -41,19 +41,13 @@ inline unsigned grid_size(device::Device& dev, std::uint64_t items, bool persist
   return dev.blocks_for(items);
 }
 
-/// Work distribution for the edge phases: equal contiguous edge spans
-/// (degenerate merge-path on the flat worklist, DESIGN.md §11) or the
-/// classic block-cyclic chunks. Either way the body sees half-open
-/// [lo, hi) index ranges covering exactly the block's edges.
+/// Work distribution for the edge phases: one equal contiguous edge span
+/// per block (degenerate merge-path on the flat worklist, DESIGN.md §11).
+/// The body sees the half-open [lo, hi) range of the block's edges.
 template <typename Body>
-void for_each_owned(const device::BlockContext& ctx, std::uint64_t total, bool edge_balanced,
-                    Body&& body) {
-  if (edge_balanced) {
-    const device::EdgeSpan span = device::equal_edge_span(ctx.block_id, ctx.num_blocks, total);
-    if (!span.empty()) body(span.begin, span.end);
-  } else {
-    ctx.for_each_chunk(total, body);
-  }
+void for_each_owned(const device::BlockContext& ctx, std::uint64_t total, Body&& body) {
+  const device::EdgeSpan span = device::equal_edge_span(ctx.block_id, ctx.num_blocks, total);
+  if (!span.empty()) body(span.begin, span.end);
 }
 
 /// The propagation-visible slice of a solver's state.
@@ -82,7 +76,10 @@ struct SigView {
 /// `owner` is the vertex whose signature the slot belongs to. Any reported
 /// movement — including a deferred store's, so the retry round still sees
 /// the edge as active — stamps the owner's frontier epoch with the current
-/// round, keeping its incident edges in the active frontier.
+/// round, keeping its incident edges in the active frontier. Round 0 means
+/// no frontier clock: the sharded engine's per-shard sweeps pass it (an
+/// exchange-raised value would have to re-stamp foreign epochs), the same
+/// convention chase_chain uses for its round stamps.
 inline bool store_max(const SigView& st, device::AtomicU32& slot, vid owner,
                       std::uint32_t value, const EclOptions& opts,
                       std::uint32_t round) noexcept {
@@ -94,8 +91,7 @@ inline bool store_max(const SigView& st, device::AtomicU32& slot, vid owner,
     moved = opts.use_atomic_max ? device::atomic_fetch_max(slot, value)
                                 : device::racy_store_max(slot, value);
   if (moved) {
-    if (opts.frontier_gating)
-      st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
+    if (round != 0) st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
     if (st.bag) st.bag->insert(owner);
   }
   return moved;
@@ -112,8 +108,7 @@ inline bool store_min(const SigView& st, device::AtomicU32& slot, vid owner,
     moved = opts.use_atomic_max ? device::atomic_fetch_min(slot, value)
                                 : device::racy_store_min(slot, value);
   if (moved) {
-    if (opts.frontier_gating)
-      st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
+    if (round != 0) st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
     if (st.bag) st.bag->insert(owner);
   }
   return moved;

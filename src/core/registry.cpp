@@ -24,6 +24,19 @@ device::Device& titanv_device() {
   return dev;
 }
 
+/// ECL-SCC with the high-diameter paths (DESIGN.md §15) tuned out: both
+/// density thresholds at 0 mean no round chases a chain or takes the
+/// hash-bag sparse frontier, so every Phase-2 round is a dense gated sweep
+/// of the worklist up to the fixpoint. The load-balanced solver of §10/§11
+/// as it was before §15; the default configuration only sweeps densely
+/// until the frontier collapses.
+EclOptions dense_sweep_options() {
+  EclOptions opts;
+  opts.chain_density = 0.0;
+  opts.hashbag_density = 0.0;
+  return opts;
+}
+
 const std::vector<std::pair<std::string, SccAlgorithm>>& table() {
   static const std::vector<std::pair<std::string, SccAlgorithm>> algorithms = {
       // Tarjan and Kosaraju name components by discovery index; every other
@@ -47,19 +60,8 @@ const std::vector<std::pair<std::string, SccAlgorithm>>& table() {
       {"ecl-serial", [](const Digraph& g) { return ecl_serial(g); }},
       {"ecl-a100", [](const Digraph& g) { return ecl_scc(g, shared_device()); }},
       {"ecl-titanv", [](const Digraph& g) { return ecl_scc(g, titanv_device()); }},
-      // The seed implementation (all §10 + §11 levers off) kept runnable by
-      // name so differential checks can compare against it end to end.
-      {"ecl-classic",
-       [](const Digraph& g) { return ecl_scc(g, shared_device(), ecl_hotpath_levers_off()); }},
-      // The PR-4 hot path (§10 levers on, §11 load-balance levers off): the
-      // baseline bench_loadbalance measures against, and the side-by-side
-      // partner of the default (reordered, edge-balanced) configuration.
-      {"ecl-hotpath",
-       [](const Digraph& g) { return ecl_scc(g, shared_device(), ecl_loadbalance_levers_off()); }},
-      // The PR-5 all-on configuration (§10 + §11 on, §15 high-diameter
-      // levers off): the baseline bench_highdiameter measures against.
       {"ecl-loadbalance",
-       [](const Digraph& g) { return ecl_scc(g, shared_device(), ecl_highdiameter_levers_off()); }},
+       [](const Digraph& g) { return ecl_scc(g, shared_device(), dense_sweep_options()); }},
       {"gpu-scc-a100", [](const Digraph& g) { return fb_trim(g, shared_device()); }},
       {"gpu-scc-titanv", [](const Digraph& g) { return fb_trim(g, titanv_device()); }},
       {"ispan", [](const Digraph& g) { return ispan(g); }},
@@ -78,17 +80,9 @@ const std::vector<std::pair<std::string, DeviceAlgorithm>>& device_table() {
   static const std::vector<std::pair<std::string, DeviceAlgorithm>> algorithms = {
       {"ecl-a100", [](const Digraph& g, device::Device& dev) { return ecl_scc(g, dev); }},
       {"ecl-titanv", [](const Digraph& g, device::Device& dev) { return ecl_scc(g, dev); }},
-      {"ecl-classic",
-       [](const Digraph& g, device::Device& dev) {
-         return ecl_scc(g, dev, ecl_hotpath_levers_off());
-       }},
-      {"ecl-hotpath",
-       [](const Digraph& g, device::Device& dev) {
-         return ecl_scc(g, dev, ecl_loadbalance_levers_off());
-       }},
       {"ecl-loadbalance",
        [](const Digraph& g, device::Device& dev) {
-         return ecl_scc(g, dev, ecl_highdiameter_levers_off());
+         return ecl_scc(g, dev, dense_sweep_options());
        }},
       {"gpu-scc-a100", [](const Digraph& g, device::Device& dev) { return fb_trim(g, dev); }},
       {"gpu-scc-titanv", [](const Digraph& g, device::Device& dev) { return fb_trim(g, dev); }},

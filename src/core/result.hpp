@@ -58,11 +58,12 @@ struct SccMetrics {
   /// endpoints were quiescent, and the number of propagation rounds in
   /// which at least one edge was skipped. Hash-bag sparse rounds (§15)
   /// also count here — every edge they never had to gate-check is a skip.
-  /// Zero when both the gate and the hash bag are off.
+  /// Zero for the solvers without a gate (FB-Trim, the sharded K > 1
+  /// engine, the serial baselines).
   std::uint64_t edges_skipped = 0;
   std::uint64_t frontier_rounds = 0;
 
-  /// High-diameter levers (DESIGN.md §15). Chain chasing: single-successor
+  /// High-diameter paths (DESIGN.md §15). Chain chasing: single-successor
   /// chains collapsed into one worker's local walk (each collapse saves a
   /// whole propagation round for that chain), steps taken across all of
   /// them, and the longest single chase. Hash bag: Phase-2 rounds served
@@ -70,7 +71,7 @@ struct SccMetrics {
   /// Multi-pivot FB: forward/backward rounds that ran with >1 pivot, total
   /// pivots selected across all rounds, and the mean pivots per round
   /// (over ALL fb rounds, single-pivot ones included). All zero when the
-  /// corresponding lever is off.
+  /// corresponding path never engaged.
   std::uint64_t chains_collapsed = 0;
   std::uint64_t chain_steps = 0;
   std::uint64_t max_chain_len = 0;
@@ -84,9 +85,8 @@ struct SccMetrics {
 
   /// True when the degree-skew pre-scan admitted the hub-clustering
   /// permutation and the solve actually ran on the reordered graph
-  /// (DESIGN.md §11/§15). Lets callers — bench_loadbalance's predictor
-  /// contract in particular — distinguish "gate declined, configs
-  /// identical" from "gate fired, compare the timings".
+  /// (DESIGN.md §11/§15). Lets callers and tests see which side of the
+  /// gate a graph fell on.
   bool hub_reorder_applied = false;
 
   /// Wall-clock split across Algorithm 1's phases (filled by ecl_scc; the

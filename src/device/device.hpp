@@ -127,9 +127,6 @@ struct LaunchOptions {
   /// Non-idempotent launches (e.g. worklist appends) are never replayed by
   /// the spurious-reexecution fault.
   bool idempotent = false;
-  /// Distribute this launch's blocks over per-worker claim ranges with
-  /// stealing (thread_pool.hpp) instead of the shared claim cursor.
-  bool work_stealing = true;
 };
 
 /// A simulated GPU device.
@@ -183,7 +180,7 @@ class Device {
       BlockContext ctx{block_id, num_blocks, profile_.threads_per_block};
       kernel(ctx);
     };
-    pool_.parallel_for(num_blocks, task, attrs.work_stealing);
+    pool_.parallel_for(num_blocks, task);
     if (fi && attrs.idempotent) {
       const unsigned replays = fi->replay_count(launch_id, num_blocks);
       for (unsigned r = 0; r < replays; ++r) {

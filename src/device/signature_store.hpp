@@ -5,22 +5,14 @@
 //
 // ECL-SCC's per-vertex state — the vin/vout max signatures, the optional
 // min_in/min_out pair of the 4-signature variant, and the frontier-gating
-// epoch stamp — can live in two layouts:
+// epoch stamp — lives in one 64-byte-aligned slot per vertex. A writer
+// dirties only its own vertex's cache line, so pool threads updating
+// different vertices never false-share, and the fields an edge visit
+// touches together (vin+vout+epoch of one endpoint) arrive on one line.
 //
-//  * plain SoA (the seed layout): one densely packed atomic array per
-//    field. Sixteen vertices share each 64-byte line, so pool threads
-//    updating different vertices ping-pong lines between cores (false
-//    sharing) on write-heavy propagation rounds;
-//  * padded AoS: one 64-byte-aligned slot per vertex holding all of that
-//    vertex's fields. A writer dirties only its own vertex's line, and the
-//    fields an edge visit touches together (vin+vout+epoch of one endpoint)
-//    arrive on one line.
-//
-// Both layouts sit behind the same AtomicU32 accessors, so the relaxed-order
-// store helpers in device/atomics.hpp — and therefore the benign-race
-// semantics the paper's monotonic stores rely on — are identical in either
-// mode. The choice is purely a memory-layout lever (EclOptions::
-// padded_signatures), toggleable for the bench_hotpath ablation.
+// Every field is an AtomicU32 accessed with the relaxed-order store helpers
+// in device/atomics.hpp, preserving the benign-race semantics the paper's
+// monotonic stores rely on.
 
 #include <cstdint>
 #include <memory>
@@ -33,63 +25,37 @@ class SignatureStore {
  public:
   SignatureStore() = default;
 
-  /// Allocates state for n vertices. `with_min` adds the 4-signature
-  /// min_in/min_out pair; the epoch stamps are always present (4 bytes per
-  /// vertex unpadded; free inside the padded slot).
-  SignatureStore(std::uint32_t n, bool with_min, bool padded) : padded_(padded) {
-    if (padded_) {
-      slots_ = std::make_unique<PaddedSlot[]>(n);
-    } else {
-      vin_ = std::make_unique<AtomicU32[]>(n);
-      vout_ = std::make_unique<AtomicU32[]>(n);
-      if (with_min) {
-        min_in_ = std::make_unique<AtomicU32[]>(n);
-        min_out_ = std::make_unique<AtomicU32[]>(n);
-      }
-      epoch_ = std::make_unique<AtomicU32[]>(n);
-    }
-  }
+  /// Allocates state for n vertices. Every slot has room for the
+  /// 4-signature min_in/min_out pair and the epoch stamp.
+  explicit SignatureStore(std::uint32_t n) : slots_(std::make_unique<Slot[]>(n)) {}
 
-  bool padded() const noexcept { return padded_; }
-
-  AtomicU32& vin(std::uint32_t v) noexcept { return padded_ ? slots_[v].vin : vin_[v]; }
-  AtomicU32& vout(std::uint32_t v) noexcept { return padded_ ? slots_[v].vout : vout_[v]; }
-  AtomicU32& min_in(std::uint32_t v) noexcept {
-    return padded_ ? slots_[v].min_in : min_in_[v];
-  }
-  AtomicU32& min_out(std::uint32_t v) noexcept {
-    return padded_ ? slots_[v].min_out : min_out_[v];
-  }
+  AtomicU32& vin(std::uint32_t v) noexcept { return slots_[v].vin; }
+  AtomicU32& vout(std::uint32_t v) noexcept { return slots_[v].vout; }
+  AtomicU32& min_in(std::uint32_t v) noexcept { return slots_[v].min_in; }
+  AtomicU32& min_out(std::uint32_t v) noexcept { return slots_[v].min_out; }
 
   /// Frontier-gating stamp: the last global propagation round in which any
   /// signature of v moved (0 = never).
-  AtomicU32& epoch(std::uint32_t v) noexcept { return padded_ ? slots_[v].epoch : epoch_[v]; }
+  AtomicU32& epoch(std::uint32_t v) noexcept { return slots_[v].epoch; }
 
   std::uint32_t epoch_of(std::uint32_t v) const noexcept {
-    return padded_ ? slots_[v].epoch.load(std::memory_order_relaxed)
-                   : epoch_[v].load(std::memory_order_relaxed);
+    return slots_[v].epoch.load(std::memory_order_relaxed);
   }
 
  private:
-  /// One vertex's complete signature state on its own cache line. atomics
-  /// zero-initialize, matching the seed arrays' value-initialized state.
-  struct alignas(64) PaddedSlot {
+  /// One vertex's complete signature state on its own cache line. Atomics
+  /// zero-initialize.
+  struct alignas(64) Slot {
     AtomicU32 vin{0};
     AtomicU32 vout{0};
     AtomicU32 min_in{0};
     AtomicU32 min_out{0};
     AtomicU32 epoch{0};
   };
-  static_assert(sizeof(PaddedSlot) == 64, "one slot per cache line");
-  static_assert(alignof(PaddedSlot) == 64, "slots must start on line boundaries");
+  static_assert(sizeof(Slot) == 64, "one slot per cache line");
+  static_assert(alignof(Slot) == 64, "slots must start on line boundaries");
 
-  bool padded_ = false;
-  std::unique_ptr<PaddedSlot[]> slots_;
-  std::unique_ptr<AtomicU32[]> vin_;
-  std::unique_ptr<AtomicU32[]> vout_;
-  std::unique_ptr<AtomicU32[]> min_in_;
-  std::unique_ptr<AtomicU32[]> min_out_;
-  std::unique_ptr<AtomicU32[]> epoch_;
+  std::unique_ptr<Slot[]> slots_;
 };
 
 }  // namespace ecl::device

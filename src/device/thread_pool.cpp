@@ -48,72 +48,60 @@ void ThreadPool::run_batch(Batch& batch, unsigned slot, bool notify_done) {
     }
   };
 
-  if (batch.slots > 0) {
-    // Drain this worker's own claim range: contention-free fetch_add on a
-    // cache line no other worker touches until it steals.
-    if (slot < batch.slots) {
-      ClaimRange& own = batch.ranges[slot];
-      for (;;) {
-        const std::size_t i = own.next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= own.end) break;
-        ++claimed;
-        execute(i);
-      }
-    }
-    // Steal from the most-loaded peer until every range is drained. A steal
-    // advances the victim's own cursor, so exactly-once execution needs no
-    // extra coordination; a lost race (cursor past end) just rescans.
+  // Drain this worker's own claim range: contention-free fetch_add on a
+  // cache line no other worker touches until it steals.
+  if (slot < batch.slots) {
+    ClaimRange& own = batch.ranges[slot];
     for (;;) {
-      ClaimRange* victim = nullptr;
-      std::size_t best = 0;
-      for (unsigned s = 0; s < batch.slots; ++s) {
-        ClaimRange& r = batch.ranges[s];
-        const std::size_t at = r.next.load(std::memory_order_relaxed);
-        const std::size_t left = at < r.end ? r.end - at : 0;
-        if (left > best) {
-          best = left;
-          victim = &r;
-        }
-      }
-      if (victim == nullptr) break;
-      const std::size_t i = victim->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= victim->end) continue;
-      ++stolen;
-      execute(i);
-    }
-  } else {
-    for (;;) {
-      const std::size_t i = batch.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= batch.count) break;
+      const std::size_t i = own.next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= own.end) break;
       ++claimed;
       execute(i);
     }
+  }
+  // Steal from the most-loaded peer until every range is drained. A steal
+  // advances the victim's own cursor, so exactly-once execution needs no
+  // extra coordination; a lost race (cursor past end) just rescans.
+  for (;;) {
+    ClaimRange* victim = nullptr;
+    std::size_t best = 0;
+    for (unsigned s = 0; s < batch.slots; ++s) {
+      ClaimRange& r = batch.ranges[s];
+      const std::size_t at = r.next.load(std::memory_order_relaxed);
+      const std::size_t left = at < r.end ? r.end - at : 0;
+      if (left > best) {
+        best = left;
+        victim = &r;
+      }
+    }
+    if (victim == nullptr) break;
+    const std::size_t i = victim->next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= victim->end) continue;
+    ++stolen;
+    execute(i);
   }
 
   if (claimed) claimed_.fetch_add(claimed, std::memory_order_relaxed);
   if (stolen) stolen_.fetch_add(stolen, std::memory_order_relaxed);
 }
 
-void ThreadPool::parallel_for_erased(std::size_t count, InvokeFn invoke, const void* ctx,
-                                     bool work_stealing) {
+void ThreadPool::parallel_for_erased(std::size_t count, InvokeFn invoke, const void* ctx) {
   if (count == 0) return;
   auto batch = std::make_shared<Batch>();
   batch->invoke = invoke;
   batch->ctx = ctx;
   batch->count = count;
-  if (work_stealing) {
-    const unsigned slots = num_workers();
-    batch->slots = slots;
-    batch->ranges = std::make_unique<ClaimRange[]>(slots);
-    const std::size_t q = count / slots;
-    const std::size_t r = count % slots;
-    std::size_t begin = 0;
-    for (unsigned s = 0; s < slots; ++s) {
-      const std::size_t len = q + (s < r ? 1 : 0);
-      batch->ranges[s].next.store(begin, std::memory_order_relaxed);
-      batch->ranges[s].end = begin + len;
-      begin += len;
-    }
+  const unsigned slots = num_workers();
+  batch->slots = slots;
+  batch->ranges = std::make_unique<ClaimRange[]>(slots);
+  const std::size_t q = count / slots;
+  const std::size_t r = count % slots;
+  std::size_t begin = 0;
+  for (unsigned s = 0; s < slots; ++s) {
+    const std::size_t len = q + (s < r ? 1 : 0);
+    batch->ranges[s].next.store(begin, std::memory_order_relaxed);
+    batch->ranges[s].end = begin + len;
+    begin += len;
   }
 
   bool wake;

@@ -5,17 +5,13 @@
 // GPU (see device.hpp). Work is handed out as dense task indices, which the
 // device layer maps to thread blocks.
 //
-// Two scheduling modes (DESIGN.md §11):
-//
-//  * shared-cursor (classic) — every worker claims indices from one shared
-//    fetch_add cursor. Simple, but all workers contend on one cache line
-//    for every task claimed.
-//  * work-stealing — the index range is pre-split into one contiguous claim
-//    range per worker (64-byte padded, so claims are contention-free), and
-//    a worker that drains its own range steals from the currently
-//    most-loaded peer. The steal reuses the victim's claim cursor, so every
-//    index is still executed exactly once without any range-splitting
-//    handshake.
+// Scheduling is work stealing (DESIGN.md §11): the index range is
+// pre-split into one contiguous claim range per worker (64-byte padded, so
+// claims are contention-free, where one shared fetch_add cursor would put
+// every worker on one cache line for every task claimed), and a worker that
+// drains its own range steals from the currently most-loaded peer. The
+// steal reuses the victim's claim cursor, so every index is still executed
+// exactly once without any range-splitting handshake.
 //
 // Submission uses a spin-then-park barrier: workers spin briefly on an
 // atomic batch generation before parking on the condition variable, so
@@ -46,23 +42,24 @@ class ThreadPool {
 
   unsigned num_workers() const noexcept { return static_cast<unsigned>(threads_.size() + 1); }
 
-  /// Runs fn(i) for every i in [0, count), distributing indices dynamically
-  /// across the workers (including the calling thread). Blocks until all
-  /// tasks complete. Exceptions thrown by fn propagate to the caller.
+  /// Runs fn(i) for every i in [0, count), distributing indices across the
+  /// workers' claim ranges (including the calling thread's) with stealing.
+  /// Blocks until all tasks complete. Exceptions thrown by fn propagate to
+  /// the caller.
   ///
   /// The callable is invoked through a captured function pointer + context
   /// pointer, so no std::function (and no heap allocation) is constructed
   /// on this path — the launch hot path stays allocation-free.
   template <typename Fn>
-  void parallel_for(std::size_t count, const Fn& fn, bool work_stealing = false) {
+  void parallel_for(std::size_t count, const Fn& fn) {
     parallel_for_erased(
         count, [](const void* ctx, std::size_t i) { (*static_cast<const Fn*>(ctx))(i); },
-        std::addressof(fn), work_stealing);
+        std::addressof(fn));
   }
 
-  /// Tasks claimed from a worker's own range (or the shared cursor) since
-  /// construction, and tasks stolen from a peer's range. claimed + stolen
-  /// equals the total number of tasks executed. Test/metrics hooks.
+  /// Tasks claimed from a worker's own range since construction, and tasks
+  /// stolen from a peer's range. claimed + stolen equals the total number
+  /// of tasks executed. Test/metrics hooks.
   std::uint64_t claimed_tasks() const noexcept {
     return claimed_.load(std::memory_order_relaxed);
   }
@@ -89,15 +86,13 @@ class ThreadPool {
     InvokeFn invoke = nullptr;
     const void* ctx = nullptr;
     std::size_t count = 0;
-    unsigned slots = 0;  ///< claim ranges when stealing; 0 = shared cursor
+    unsigned slots = 0;  ///< one claim range per worker
     std::unique_ptr<ClaimRange[]> ranges;
-    std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> completed{0};
     std::atomic<bool> failed{false};
   };
 
-  void parallel_for_erased(std::size_t count, InvokeFn invoke, const void* ctx,
-                           bool work_stealing);
+  void parallel_for_erased(std::size_t count, InvokeFn invoke, const void* ctx);
   void worker_loop(unsigned slot);
   void run_batch(Batch& batch, unsigned slot, bool notify_done);
 

@@ -7,27 +7,20 @@
 // surviving edges to a second worklist via an atomic cursor and then swaps
 // the two buffer pointers. This class is that data structure.
 //
-// The append path comes in three grades of cursor contention:
+// Appends go through push_next_bulk, one cursor fetch_add per span. Kernels
+// use it via ChunkAppender: a per-block staging buffer that batches
+// survivors and reserves cursor space one chunk (default 1024 edges) at a
+// time, cutting the fetch_add rate by ~3 orders of magnitude against one
+// fetch_add per edge on survivor-dense sweeps. Because a chunk is reserved
+// only when the staged edges are in hand, the reservation is always exact:
+// no holes, no unused tail to give back, and the flush at the end of the
+// block (before the grid barrier) commits the partial last chunk.
 //
-//  * push_next       — one fetch_add per edge (the seed behavior; kept for
-//                      kernels that emit isolated survivors);
-//  * push_next_bulk  — one fetch_add per caller-assembled span;
-//  * ChunkAppender   — a per-block staging buffer that batches survivors
-//                      and reserves cursor space one chunk (default 1024
-//                      edges) at a time, cutting the fetch_add rate by ~3
-//                      orders of magnitude on survivor-dense sweeps. Because
-//                      a chunk is reserved only when the staged edges are in
-//                      hand, the reservation is always exact: no holes, no
-//                      unused tail to give back, and the flush at the end of
-//                      the block (before the grid barrier) commits the
-//                      partial last chunk.
-//
-// All three preserve the same overflow semantics: an append past capacity
-// asserts in debug builds; in release builds the excess edges are dropped,
-// counted in dropped_edges(), and a saturating overflow flag is raised for
-// the fixpoint watchdog to read. next_size() always records the *attempted*
-// append count, so a chaos-device double-append is observable through the
-// same counters regardless of which append path the kernel used.
+// Overflow semantics: an append past capacity asserts in debug builds; in
+// release builds the excess edges are dropped, counted in dropped_edges(),
+// and a saturating overflow flag is raised for the fixpoint watchdog to
+// read. next_size() always records the *attempted* append count, so a
+// chaos-device double-append is observable through the same counters.
 
 #include <algorithm>
 #include <atomic>
@@ -63,25 +56,12 @@ class EdgeWorklist {
   /// shrinks the edge set, so a correct kernel can never exceed it).
   std::size_t capacity() const noexcept { return buffers_[1 - cur_].size(); }
 
-  /// Thread-safe append into the *next* buffer (Phase-3 survivors). A push
-  /// past capacity — a kernel double-appending, e.g. under a spurious
+  /// Thread-safe append of a span into the *next* buffer (Phase-3
+  /// survivors): one cursor fetch_add for the whole span. An append past
+  /// capacity — a kernel double-appending, e.g. under a spurious
   /// re-execution fault — asserts in debug builds; in release builds the
-  /// edge is dropped, counted, and the sticky overflow flag is raised.
-  void push_next(graph::Edge e) noexcept {
-    const std::size_t slot = next_size_.fetch_add(1, std::memory_order_relaxed);
-    auto& next = buffers_[1 - cur_];
-    if (slot >= next.size()) {
-      assert(!"EdgeWorklist::push_next: append past capacity (double-append?)");
-      record_drop(1);
-      return;
-    }
-    next[slot] = e;
-  }
-
-  /// Thread-safe bulk append into the next buffer: one cursor fetch_add for
-  /// the whole span. On overflow the prefix that fits is stored and the
-  /// rest is dropped (counted, sticky flag raised) — the same edge-wise
-  /// semantics as issuing push_next once per element.
+  /// prefix that fits is stored, the rest is dropped and counted, and the
+  /// sticky overflow flag is raised.
   void push_next_bulk(std::span<const graph::Edge> batch) noexcept {
     if (batch.empty()) return;
     const std::size_t start = next_size_.fetch_add(batch.size(), std::memory_order_relaxed);

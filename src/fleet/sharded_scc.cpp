@@ -190,7 +190,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
     for (vid u = sh.begin; u < sh.end; ++u)
       for (eid j = offsets[u]; j < offsets[u + 1]; ++j) owned.push_back({u, targets[j]});
     sh.worklist = std::make_unique<EdgeWorklist>(std::span<const graph::Edge>(owned));
-    sh.sigs = std::make_unique<SignatureStore>(n, /*with_min=*/false, eo.padded_signatures);
+    sh.sigs = std::make_unique<SignatureStore>(n);
   }
 
   // Boundary set: targets of cross-shard edges — the only vertices whose
@@ -293,7 +293,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
             }
           });
         },
-        {.idempotent = true, .work_stealing = eo.work_stealing});
+        {.idempotent = true});
   };
 
   // One propagation sweep over the shard's own edges (async mode re-iterates
@@ -310,11 +310,11 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
     // Chain index over the shard's own worklist (callers of sweep are
     // barrier-separated from the points that set chain_dirty, so the lazy
     // rebuild is race-free even when shards sweep concurrently).
-    if (eo.chain_chasing && sh.chain_dirty) {
+    if (sh.chain_dirty) {
       sh.chain.build(n, edges);
       sh.chain_dirty = false;
     }
-    const bool chasing = eo.chain_chasing && sh.chain.useful();
+    const bool chasing = sh.chain.useful();
     dev.launch(
         scc::detail::grid_size(dev, m, eo.persistent_threads),
         [&](const BlockContext& ctx) {
@@ -329,25 +329,24 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
           do {
             local_changed = false;
             ++local_iters;
-            scc::detail::for_each_owned(
-                ctx, m, eo.edge_balanced, [&](std::uint64_t lo, std::uint64_t hi) {
-                  if (local_iters == 1) local_assigned += hi - lo;
-                  for (std::uint64_t i = lo; i < hi; ++i) {
-                    ++local_processed;
-                    const bool moved = scc::detail::propagate_edge(view, edges[i], eo, 0);
-                    if (moved && chasing) {
-                      const scc::detail::ChaseResult cr =
-                          scc::detail::chase_chain(view, sh.chain, edges[i], eo, 0);
-                      if (cr.moved != 0) {
-                        ++local_chains;
-                        local_steps += cr.moved;
-                        local_longest = std::max<std::uint64_t>(local_longest, cr.moved);
-                      }
-                      local_processed += cr.steps;
-                    }
-                    local_changed |= moved;
+            scc::detail::for_each_owned(ctx, m, [&](std::uint64_t lo, std::uint64_t hi) {
+              if (local_iters == 1) local_assigned += hi - lo;
+              for (std::uint64_t i = lo; i < hi; ++i) {
+                ++local_processed;
+                const bool moved = scc::detail::propagate_edge(view, edges[i], eo, 0);
+                if (moved && chasing) {
+                  const scc::detail::ChaseResult cr =
+                      scc::detail::chase_chain(view, sh.chain, edges[i], eo, 0);
+                  if (cr.moved != 0) {
+                    ++local_chains;
+                    local_steps += cr.moved;
+                    local_longest = std::max<std::uint64_t>(local_longest, cr.moved);
                   }
-                });
+                  local_processed += cr.steps;
+                }
+                local_changed |= moved;
+              }
+            });
           } while (eo.async_phase2 && local_changed && local_iters < sweep_budget &&
                    !watchdog->expired());
           if (local_changed || (eo.async_phase2 && local_iters > 1))
@@ -361,7 +360,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
           }
           dev.record_block_work(ctx.block_id, local_assigned);
         },
-        {.idempotent = true, .work_stealing = eo.work_stealing});
+        {.idempotent = true});
     sh.sweep_seconds = sweep_timer.seconds();
   };
 
@@ -419,7 +418,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
           });
           labeled.fetch_add(local, std::memory_order_relaxed);
         },
-        {.idempotent = true, .work_stealing = eo.work_stealing});
+        {.idempotent = true});
   };
 
   // Phase 3 on the shard's own worklist. Cross-shard targets are boundary
@@ -436,27 +435,23 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
         [&](const BlockContext& ctx) {
           EdgeWorklist::ChunkAppender chunk(*sh.worklist);
           std::uint64_t local_examined = 0;
-          scc::detail::for_each_owned(
-              ctx, m, eo.edge_balanced, [&](std::uint64_t lo, std::uint64_t hi) {
-                local_examined += hi - lo;
-                for (std::uint64_t i = lo; i < hi; ++i) {
-                  const graph::Edge e = edges[i];
-                  const std::uint32_t iu = sh.sigs->vin(e.src).load(std::memory_order_relaxed);
-                  const std::uint32_t iv = sh.sigs->vin(e.dst).load(std::memory_order_relaxed);
-                  const std::uint32_t ou = sh.sigs->vout(e.src).load(std::memory_order_relaxed);
-                  const std::uint32_t ov = sh.sigs->vout(e.dst).load(std::memory_order_relaxed);
-                  if (iu != iv || ou != ov) continue;  // spans SCCs: drop
-                  if (eo.remove_scc_edges && labels[e.src] != graph::kInvalidVid)
-                    continue;  // inside a completed SCC (§3.3)
-                  if (eo.chunked_worklist)
-                    chunk.push(e);
-                  else
-                    sh.worklist->push_next(e);
-                }
-              });
+          scc::detail::for_each_owned(ctx, m, [&](std::uint64_t lo, std::uint64_t hi) {
+            local_examined += hi - lo;
+            for (std::uint64_t i = lo; i < hi; ++i) {
+              const graph::Edge e = edges[i];
+              const std::uint32_t iu = sh.sigs->vin(e.src).load(std::memory_order_relaxed);
+              const std::uint32_t iv = sh.sigs->vin(e.dst).load(std::memory_order_relaxed);
+              const std::uint32_t ou = sh.sigs->vout(e.src).load(std::memory_order_relaxed);
+              const std::uint32_t ov = sh.sigs->vout(e.dst).load(std::memory_order_relaxed);
+              if (iu != iv || ou != ov) continue;  // spans SCCs: drop
+              if (eo.remove_scc_edges && labels[e.src] != graph::kInvalidVid)
+                continue;  // inside a completed SCC (§3.3)
+              chunk.push(e);
+            }
+          });
           dev.record_block_work(ctx.block_id, local_examined);
         },
-        {.idempotent = false, .work_stealing = eo.work_stealing});
+        {.idempotent = false});
     const std::size_t before = sh.worklist->size();
     sh.worklist->swap_buffers();
     sh.chain_dirty = true;  // worklist changed: next sweep rebuilds the chains
@@ -805,25 +800,20 @@ std::vector<vid> shard_cuts(const Digraph& g, unsigned shards) {
 SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& opts) {
   const unsigned num_shards = std::max(1u, opts.shards);
 
-  // The coordinator owns the outer control loop, so the solver-internal
-  // machinery that assumes a single device is forced off: hub_reorder
-  // (whole-graph permutation), min/max signatures (min side would need its
-  // own exchange), and frontier gating (epoch clocks are per shard, and an
-  // exchange-raised value would have to re-stamp foreign epochs). The
-  // checkpoint config is NOT forced off any more: for K > 1 the coordinator
-  // runs its own exchange-barrier checkpoints (run_sharded_once), and for
-  // K <= 1 it is forwarded to the single-device engine's resume machinery.
+  // Min/max signatures are forced off: the min side would need its own
+  // exchange. For K <= 1 the run is the single-device solver with its
+  // defaults (frontier gating, the hash bag, the gated hub reorder); for
+  // K > 1 the per-shard kernels never reorder (run_sharded_once has no
+  // whole-graph permutation), pass round 0 so no frontier epoch is stamped
+  // (an exchange-raised value would have to re-stamp foreign epochs), and
+  // run no hash bag (a shard's bag cannot see exchange-raised boundary
+  // values). Chain chasing runs per shard: each shard's index covers only
+  // its owned edges, so the boundary exchange remains the sole cross-shard
+  // channel. The checkpoint config is forwarded: for K > 1 the coordinator
+  // runs its own exchange-barrier checkpoints, and for K <= 1 it reaches
+  // the single-device engine's resume machinery.
   EclOptions eo = opts.ecl;
-  eo.hub_reorder = false;
   eo.min_max_signatures = false;
-  eo.frontier_gating = false;
-  eo.phase2_hook = nullptr;
-  // The hash-bag sparse frontier assumes one device observes every movement;
-  // a shard's bag cannot see exchange-raised boundary values, so the lever
-  // is forced off. Chain chasing stays ON: each shard's index covers only
-  // its owned edges, so chases are confined to the shard and the usual
-  // boundary exchange remains the sole cross-shard channel.
-  eo.hashbag_frontier = false;
 
   const auto attempt = [&]() -> SccResult {
     if (num_shards <= 1) {

@@ -73,11 +73,10 @@ struct ShardedOptions {
   /// sequentially within each lockstep step). K <= 1 runs single-device on
   /// one pool device, with the same certification ladder.
   unsigned shards = 2;
-  /// Kernel levers for the per-shard phases. hub_reorder, frontier_gating,
-  /// min_max_signatures, and the checkpoint machinery are forced off inside
-  /// the sharded engine (the coordinator owns the outer control loop; the
-  /// levers that remain are pure per-shard scheduling choices and preserve
-  /// bit-identical labels).
+  /// Kernel options for the per-shard phases. min_max_signatures is forced
+  /// off, and for K > 1 the per-shard checkpoint machinery is replaced by
+  /// the coordinator's (the coordinator owns the outer control loop; the
+  /// options that remain preserve bit-identical labels).
   scc::EclOptions ecl;
   /// Run the PR-6 certifier on the stitched labels and escalate through the
   /// recovery ladder on failure.

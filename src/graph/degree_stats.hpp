@@ -31,7 +31,7 @@ DegreeStats compute_degree_stats(const Digraph& g);
 /// Out-degree-only variant: identical to `compute_degree_stats` except
 /// `max_in` stays 0. Out-degrees are CSR offset differences, so this is a
 /// single sequential O(n) pass with no per-edge work — cheap enough to run
-/// as a per-solve pre-scan (the solver's hub_reorder gate), where the full
+/// as a per-solve pre-scan (the solver's hub-reorder gate), where the full
 /// version's in-degree pass (O(m) random-access increments plus an O(n)
 /// allocation) costs a measurable fraction of a small graph's solve time.
 DegreeStats compute_out_degree_stats(const Digraph& g);

@@ -4,8 +4,11 @@
 #include <istream>
 #include <ostream>
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace ecl::graph {
 namespace {
@@ -224,6 +227,40 @@ T read_pod(std::istream& in) {
   return value;
 }
 
+/// Bytes left between the read position and the end of a seekable stream;
+/// -1 when the stream cannot seek.
+std::int64_t bytes_remaining(std::istream& in) {
+  const std::istream::pos_type here = in.tellg();
+  if (here == std::istream::pos_type(-1)) return -1;
+  in.seekg(0, std::ios::end);
+  const std::istream::pos_type end = in.tellg();
+  in.seekg(here);
+  if (end == std::istream::pos_type(-1) || !in) {
+    in.clear();
+    in.seekg(here);
+    return -1;
+  }
+  return static_cast<std::int64_t>(end - here);
+}
+
+/// Reads `count` elements, growing the array only as data arrives, so a
+/// header that overstates the array on a non-seekable stream cannot force
+/// a giant allocation up front.
+template <typename T>
+std::vector<T> read_array(std::istream& in, std::uint64_t count) {
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  std::vector<T> out;
+  while (out.size() < count) {
+    const std::size_t done = out.size();
+    const auto take = static_cast<std::size_t>(std::min<std::uint64_t>(kChunk, count - done));
+    out.resize(done + take);
+    in.read(reinterpret_cast<char*>(out.data() + done),
+            static_cast<std::streamsize>(take * sizeof(T)));
+    if (!in) throw std::runtime_error("eclg: truncated arrays");
+  }
+  return out;
+}
+
 }  // namespace
 
 Digraph read_binary(std::istream& in) {
@@ -236,13 +273,42 @@ Digraph read_binary(std::istream& in) {
   const auto n = read_pod<std::uint64_t>(in);
   const auto m = read_pod<std::uint64_t>(in);
 
-  std::vector<eid> offsets(n + 1);
-  in.read(reinterpret_cast<char*>(offsets.data()),
-          static_cast<std::streamsize>(offsets.size() * sizeof(eid)));
-  std::vector<vid> targets(m);
-  in.read(reinterpret_cast<char*>(targets.data()),
-          static_cast<std::streamsize>(targets.size() * sizeof(vid)));
-  if (!in) throw std::runtime_error("eclg: truncated arrays");
+  // Everything below is outside input: validate it before it sizes an
+  // allocation or reaches the trusted Digraph(offsets, targets) constructor,
+  // whose callers (and Digraph::reverse) index by it unchecked.
+  if (n >= kInvalidVid)
+    throw std::runtime_error("eclg: vertex count " + std::to_string(n) +
+                             " does not fit the 32-bit vertex ID space");
+  const std::int64_t remaining = bytes_remaining(in);
+  if (remaining >= 0) {
+    const auto left = static_cast<std::uint64_t>(remaining);
+    const std::uint64_t offset_bytes = (n + 1) * sizeof(eid);  // n < 2^32: no overflow
+    if (offset_bytes > left || m > (left - offset_bytes) / sizeof(vid))
+      throw std::runtime_error("eclg: header declares " + std::to_string(n) + " vertices and " +
+                               std::to_string(m) + " edges, more than the " +
+                               std::to_string(left) + " bytes left in the file");
+  }
+  std::vector<eid> offsets = read_array<eid>(in, n + 1);
+  if (offsets[0] != 0)
+    throw std::runtime_error("eclg: offsets[0] is " + std::to_string(offsets[0]) + ", not 0");
+  for (std::uint64_t v = 0; v < n; ++v)
+    if (offsets[v + 1] < offsets[v])
+      throw std::runtime_error("eclg: offsets decrease at vertex " + std::to_string(v));
+  if (offsets[n] != m)
+    throw std::runtime_error("eclg: offsets end at " + std::to_string(offsets[n]) +
+                             ", not at the edge count " + std::to_string(m));
+  std::vector<vid> targets = read_array<vid>(in, m);
+  for (std::uint64_t u = 0; u < n; ++u) {
+    for (eid j = offsets[u]; j < offsets[u + 1]; ++j) {
+      if (targets[j] >= n)
+        throw std::runtime_error("eclg: vertex " + std::to_string(u) + " has target " +
+                                 std::to_string(targets[j]) + ", out of range for " +
+                                 std::to_string(n) + " vertices");
+      if (j > offsets[u] && targets[j] <= targets[j - 1])
+        throw std::runtime_error("eclg: targets of vertex " + std::to_string(u) +
+                                 " are not strictly increasing");
+    }
+  }
   return Digraph(std::move(offsets), std::move(targets));
 }
 

@@ -164,16 +164,6 @@ BackendHealth BackendHealthRegistry::health(std::size_t backend, Clock::time_poi
   return e.health;
 }
 
-BreakerState BackendHealthRegistry::breaker_state(std::size_t backend,
-                                                  Clock::time_point now) const {
-  switch (health(backend, now)) {
-    case BackendHealth::kHealthy: return BreakerState::kClosed;
-    case BackendHealth::kQuarantined: return BreakerState::kOpen;
-    case BackendHealth::kProbation: return BreakerState::kHalfOpen;
-  }
-  return BreakerState::kClosed;
-}
-
 std::vector<BackendHealthSnapshot> BackendHealthRegistry::snapshot(Clock::time_point now) const {
   std::vector<BackendHealthSnapshot> out;
   out.reserve(entries_.size());

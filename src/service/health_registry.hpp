@@ -3,7 +3,7 @@
 
 // Health-scored backend quarantine (DESIGN.md §12).
 //
-// Generalizes the per-backend circuit breaker: instead of a boolean
+// A weighted circuit breaker per backend: instead of a boolean
 // failure-rate window, each backend accumulates a sliding window of
 // WEIGHTED outcomes drawn from the structured fault taxonomy (stall,
 // overflow, certification failure, deadline, exception). When the weighted
@@ -13,16 +13,13 @@
 // probe requests are let through; a certified success restores the backend
 // to healthy, a fault re-quarantines it with a longer cool-down.
 //
-// Weighting is what the taxonomy buys over the plain breaker: a
+// Weighting is what the taxonomy buys over a plain breaker: a
 // certification failure means the backend returned a WRONG answer that
 // claimed to be right — silent corruption — and is scored heavier than a
-// stall, which is loud, self-reported, and often transient.
-//
-// State mapping onto the legacy breaker vocabulary (kept for observability
-// compatibility): healthy -> kClosed, quarantined -> kOpen,
-// probation -> kHalfOpen. With all weights at 1.0 the trip condition
-// degenerates to the CircuitBreaker failure-rate rule, so existing breaker
-// tuning (CircuitBreakerConfig) carries over unchanged.
+// stall, which is loud, self-reported, and often transient. With all
+// weights at 1.0 the trip condition is the classic closed / open /
+// half-open breaker's failure-rate rule (healthy / quarantined /
+// probation here), tuned by CircuitBreakerConfig.
 //
 // All methods take an explicit time point so unit tests are deterministic;
 // production callers pass ServiceClock::now().
@@ -35,9 +32,18 @@
 #include <vector>
 
 #include "core/result.hpp"
-#include "service/circuit_breaker.hpp"
 
 namespace ecl::service {
+
+/// Window, trip threshold, cool-down, and probe tuning shared by every
+/// backend's health entry (the breaker vocabulary).
+struct CircuitBreakerConfig {
+  std::size_t window = 16;           ///< outcomes kept in the sliding window
+  std::size_t min_samples = 4;       ///< outcomes required before tripping
+  double failure_threshold = 0.5;    ///< failure rate in the window that opens
+  double cooldown_seconds = 0.25;    ///< open duration before a half-open probe
+  std::size_t half_open_probes = 1;  ///< probes admitted while half-open
+};
 
 /// Structured fault taxonomy the health score is computed over.
 enum class FaultKind : std::uint8_t {
@@ -60,7 +66,7 @@ FaultKind fault_kind_from_status(scc::SccStatus status);
 
 struct HealthConfig {
   /// Window size, minimum samples, trip threshold, cool-down, and probe
-  /// count reuse the breaker vocabulary 1:1 (see the mapping note above).
+  /// count, in the breaker vocabulary (see the note above).
   CircuitBreakerConfig breaker;
   /// Per-fault-kind weights (indexed by FaultKind; kNone is ignored). A
   /// weight of 2.0 makes one such fault count as two plain failures.
@@ -116,10 +122,6 @@ class BackendHealthRegistry {
   void record(std::size_t backend, FaultKind kind, Clock::time_point now = Clock::now());
 
   BackendHealth health(std::size_t backend, Clock::time_point now = Clock::now()) const;
-
-  /// Legacy breaker-state view (healthy -> closed, quarantined -> open,
-  /// probation -> half-open), so existing observability keeps working.
-  BreakerState breaker_state(std::size_t backend, Clock::time_point now = Clock::now()) const;
 
   std::vector<BackendHealthSnapshot> snapshot(Clock::time_point now = Clock::now()) const;
 

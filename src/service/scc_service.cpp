@@ -39,21 +39,17 @@ SccService::SccService(const Digraph& g, ServiceConfig config) : config_(std::mo
   overload_threshold_ = std::max<std::size_t>(
       1, static_cast<std::size_t>(config_.overload_fraction *
                                   static_cast<double>(config_.queue_capacity)));
-  // The health registry's window/threshold/cool-down tuning comes from the
-  // legacy breaker field so existing configurations keep their semantics.
-  HealthConfig health_config = config_.health;
-  health_config.breaker = config_.breaker;
-  health_ = std::make_unique<BackendHealthRegistry>(config_.backends, health_config);
+  health_ = std::make_unique<BackendHealthRegistry>(config_.backends, config_.health);
   if (config_.pool_devices > 0) {
     // Fleet mode: one shared pool instead of a device per worker. The pool
-    // gets the same merged health tuning, so device quarantine behaves like
+    // gets the same health tuning, so device quarantine behaves like
     // backend quarantine.
     fleet::DevicePoolConfig pool_config;
     pool_config.devices = config_.pool_devices;
     pool_config.profile = config_.device_profile;
     pool_config.thread_budget = config_.pool_thread_budget;
     pool_config.fault_plans = config_.pool_fault_plans;
-    pool_config.health = health_config;
+    pool_config.health = config_.health;
     pool_ = std::make_unique<fleet::DevicePool>(std::move(pool_config));
     router_ = std::make_unique<fleet::GraphRouter>(*pool_);
   }
@@ -119,14 +115,6 @@ ServiceStats SccService::stats() const {
   s.breaker_skips = stats_.breaker_skips.load(std::memory_order_relaxed);
   s.overload_sheds = stats_.overload_sheds.load(std::memory_order_relaxed);
   return s;
-}
-
-std::vector<std::pair<std::string, BreakerState>> SccService::breaker_states() const {
-  std::vector<std::pair<std::string, BreakerState>> states;
-  states.reserve(config_.backends.size());
-  for (std::size_t i = 0; i < config_.backends.size(); ++i)
-    states.emplace_back(config_.backends[i], health_->breaker_state(i));
-  return states;
 }
 
 std::vector<BackendHealthSnapshot> SccService::backend_health() const {

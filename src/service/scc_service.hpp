@@ -30,8 +30,7 @@
 //  * health-scored backend quarantine — SccError / timeout / certification
 //    outcomes feed a weighted sliding window per backend
 //    (health_registry.hpp); a degraded backend is quarantined and stops
-//    receiving traffic until a probation probe proves it healthy. The
-//    legacy breaker_states() view maps onto the registry;
+//    receiving traffic until a probation probe proves it healthy;
 //  * tiered graceful degradation — when the fresh tier is shed (overload),
 //    exhausted, or breaker-blocked, the ladder serves an epoch-stamped
 //    stale snapshot if it is within the request's staleness_budget, then a
@@ -57,7 +56,6 @@
 #include "fleet/graph_router.hpp"
 #include "service/admission_queue.hpp"
 #include "service/backoff.hpp"
-#include "service/circuit_breaker.hpp"
 #include "service/health_registry.hpp"
 #include "service/service_types.hpp"
 
@@ -81,12 +79,8 @@ struct ServiceConfig {
   /// later tiers.
   double attempt_deadline_fraction = 0.5;
   BackoffPolicy backoff;
-  /// Window / threshold / cool-down tuning for the health registry. Kept
-  /// under the breaker name (and vocabulary) so existing configurations
-  /// carry over; `health` below adds the taxonomy weights on top.
-  CircuitBreakerConfig breaker;
-  /// Taxonomy weights + quarantine escalation for the health registry. Its
-  /// embedded breaker config is overridden by `breaker` above.
+  /// Window / threshold / cool-down tuning (health.breaker), taxonomy
+  /// weights and quarantine escalation for the health registry.
   HealthConfig health;
   bool enable_breakers = true;
   /// Online certification of fresh/serial labelings before they are served
@@ -160,7 +154,7 @@ struct RecoveryStats {
   std::uint64_t shards_rehomed = 0;          ///< shards migrated off ejected devices
   std::uint64_t stragglers_flagged = 0;      ///< over-budget shard sweeps observed
   std::uint64_t straggler_migrations = 0;    ///< shards preemptively migrated off slow devices
-  // High-diameter levers (DESIGN.md §15), aggregated across fresh computes.
+  // High-diameter counters (DESIGN.md §15), aggregated across fresh computes.
   std::uint64_t chains_collapsed = 0;        ///< chain chases that moved a signature
   std::uint64_t chain_steps = 0;             ///< total signature moves inside chases
   std::uint64_t max_chain_len = 0;           ///< longest single chase observed
@@ -189,11 +183,6 @@ class SccService {
   const ServiceConfig& config() const noexcept { return config_; }
   ServiceStats stats() const;
   std::size_t queue_depth() const { return queue_->size(); }
-
-  /// Breaker state per backend (observability; order matches
-  /// config().backends). A legacy view of the health registry: healthy ->
-  /// closed, quarantined -> open, probation -> half-open.
-  std::vector<std::pair<std::string, BreakerState>> breaker_states() const;
 
   /// Full health-registry view per backend (scores, fault taxonomy counts,
   /// quarantine lifecycle counters).
@@ -268,7 +257,7 @@ class SccService {
   static constexpr std::size_t kNoPoolDevice = static_cast<std::size_t>(-1);
 
   void worker_loop();
-  /// Accumulates the §15 high-diameter lever counters of one solver attempt
+  /// Accumulates the §15 high-diameter counters of one solver attempt
   /// (chases, hash-bag rounds) into the service-wide stats.
   void fold_highdiameter_stats(const scc::SccMetrics& metrics);
   Response process(Pending& pending, device::Device& dev, std::size_t pool_index);

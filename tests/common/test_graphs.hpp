@@ -5,9 +5,11 @@
 // examples and a family of structured/random graphs with known SCC
 // decompositions.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "core/tarjan.hpp"
 #include "graph/digraph.hpp"
 #include "graph/generators.hpp"
 #include "support/rng.hpp"
@@ -157,6 +159,19 @@ inline std::vector<NamedGraph> all_test_graphs() {
   auto graphs = structured_graphs();
   for (auto& g : random_graphs()) graphs.push_back(std::move(g));
   return graphs;
+}
+
+/// Ground truth in ECL-SCC's naming: Tarjan's partition with every
+/// component renamed to its maximum member (§3.2.1), so a solver's raw
+/// labels can be compared with it bit for bit.
+inline std::vector<vid> tarjan_max_labels(const Digraph& g) {
+  const scc::SccResult oracle = scc::tarjan(g);
+  std::vector<vid> top(oracle.num_components, 0);
+  for (vid v = 0; v < g.num_vertices(); ++v)
+    top[oracle.labels[v]] = std::max(top[oracle.labels[v]], v);
+  std::vector<vid> labels(g.num_vertices());
+  for (vid v = 0; v < g.num_vertices(); ++v) labels[v] = top[oracle.labels[v]];
+  return labels;
 }
 
 }  // namespace ecl::test

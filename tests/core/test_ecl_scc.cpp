@@ -337,95 +337,5 @@ TEST(EclScc, PhaseTimingBreakdownIsPopulated) {
   EXPECT_GT(r.metrics.phase2_seconds, r.metrics.phase1_seconds);
 }
 
-// ---- phase2_hook: the coordination point the sharded fleet engine builds
-// on (src/fleet/sharded_scc.cpp). The hook observes every Phase-2 grid
-// barrier and REPLACES the local-movement continue condition, so an
-// external coordinator can extend the sweep loop past local quiescence.
-
-TEST(EclPhase2Hook, ObservesEveryRoundAndLocalMovement) {
-  const Digraph g = fig3_graph();
-  device::Device dev(device::tiny_profile(), /*workers=*/2);
-
-  std::vector<std::pair<std::uint32_t, bool>> observed;
-  EclOptions opts;
-  opts.phase2_hook = [&](bool local_changed, std::uint32_t round) {
-    observed.emplace_back(round, local_changed);
-    return local_changed;  // identity hook: preserve the stock condition
-  };
-  const auto r = scc::ecl_scc(g, dev, opts);
-  ASSERT_TRUE(r.ok());
-
-  // The hook fired at least once per outer iteration, and every sweep loop
-  // ended with a no-movement observation (that's what terminated it).
-  ASSERT_FALSE(observed.empty());
-  EXPECT_GE(observed.size(), r.metrics.outer_iterations);
-  EXPECT_FALSE(observed.back().second);
-}
-
-TEST(EclPhase2Hook, IdentityHookLeavesLabelsBitIdentical) {
-  Rng rng(0x40710'01);
-  const Digraph g = graph::random_digraph(150, 450, rng);
-  device::Device dev(device::tiny_profile(), /*workers=*/2);
-
-  const auto reference = scc::ecl_scc(g, dev);
-  EclOptions opts;
-  opts.phase2_hook = [](bool local_changed, std::uint32_t) { return local_changed; };
-  const auto hooked = scc::ecl_scc(g, dev, opts);
-  ASSERT_TRUE(hooked.ok());
-  EXPECT_EQ(hooked.labels, reference.labels);
-}
-
-TEST(EclPhase2Hook, ExtraSweepsPastQuiescenceAreHarmless) {
-  // Forcing N additional sweeps after local quiescence must not change the
-  // labels: Phase 2 is a monotone fixpoint, so once quiescent it stays
-  // quiescent. This is exactly the situation a sharded coordinator creates
-  // when ANOTHER shard is still moving.
-  Rng rng(0x40710'02);
-  graph::SccProfile profile;
-  profile.num_vertices = 200;
-  profile.giant_fraction = 0.4;
-  profile.size2_sccs = 10;
-  profile.mid_sccs = 3;
-  profile.dag_depth = 6;
-  const Digraph g = graph::scc_profile_graph(profile, rng);
-  device::Device dev(device::tiny_profile(), /*workers=*/2);
-
-  const auto reference = scc::ecl_scc(g, dev);
-
-  unsigned extra = 0;
-  EclOptions opts;
-  opts.phase2_hook = [&](bool local_changed, std::uint32_t) {
-    if (local_changed) return true;
-    if (extra < 3) {  // three forced post-quiescence sweeps per loop
-      ++extra;
-      return true;
-    }
-    extra = 0;
-    return false;
-  };
-  const auto hooked = scc::ecl_scc(g, dev, opts);
-  ASSERT_TRUE(hooked.ok());
-  EXPECT_EQ(hooked.labels, reference.labels);
-  // The forced sweeps really ran: more propagation rounds than stock.
-  EXPECT_GT(hooked.metrics.propagation_rounds, reference.metrics.propagation_rounds);
-}
-
-TEST(EclPhase2Hook, HookCanForceMinimumRoundsPerLoop) {
-  // A coordinator may demand a floor on sweep rounds (e.g. while a peer
-  // shard is known to still be moving). The floor must be harmless.
-  Rng rng(0x40710'01);
-  const Digraph g = graph::random_digraph(150, 450, rng);
-  device::Device dev(device::tiny_profile(), /*workers=*/2);
-  const auto reference = scc::ecl_scc(g, dev);
-
-  EclOptions opts;
-  opts.phase2_hook = [&](bool local_changed, std::uint32_t round) {
-    return local_changed || round < 2;  // keep sweeping a couple of rounds
-  };
-  const auto hooked = scc::ecl_scc(g, dev, opts);
-  ASSERT_TRUE(hooked.ok());
-  EXPECT_EQ(hooked.labels, reference.labels);
-}
-
 }  // namespace
 }  // namespace ecl::test

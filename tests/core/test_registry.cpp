@@ -14,11 +14,12 @@ namespace {
 TEST(Registry, ListsAllExpectedConfigurations) {
   const auto names = scc::algorithm_names();
   for (const char* expected : {"tarjan", "kosaraju", "ecl-serial", "ecl-a100", "ecl-titanv",
-                               "ecl-classic", "gpu-scc-a100", "gpu-scc-titanv", "ispan", "hong",
-                               "ecl-omp"}) {
+                               "ecl-loadbalance", "gpu-scc-a100", "gpu-scc-titanv", "ispan",
+                               "hong", "ecl-omp"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << "missing " << expected;
   }
+  EXPECT_EQ(names.size(), 11u) << "no configuration beyond the expected eleven";
 }
 
 TEST(Registry, UnknownNameThrowsWithValidList) {
@@ -46,10 +47,31 @@ TEST(Registry, AllEntriesAreRunnable) {
 
 TEST(Registry, DeviceFlagMatchesConfigurations) {
   for (const char* name :
-       {"ecl-a100", "ecl-titanv", "ecl-classic", "gpu-scc-a100", "gpu-scc-titanv"})
+       {"ecl-a100", "ecl-titanv", "ecl-loadbalance", "gpu-scc-a100", "gpu-scc-titanv"})
     EXPECT_TRUE(scc::algorithm_uses_device(name)) << name;
   for (const char* name : {"tarjan", "kosaraju", "ecl-serial", "ispan", "hong", "ecl-omp"})
     EXPECT_FALSE(scc::algorithm_uses_device(name)) << name;
+}
+
+TEST(Registry, LoadbalanceSweepsDenselyToTheFixpoint) {
+  // ecl-loadbalance tunes the chain chaser and the hash-bag frontier out.
+  // On profile_giant the default configuration takes both (one worker
+  // keeps the round sequence deterministic); the dense configuration must
+  // take neither and still produce the same labels.
+  const auto graphs = random_graphs();
+  const auto it = std::find_if(graphs.begin(), graphs.end(),
+                               [](const NamedGraph& g) { return g.name == "profile_giant"; });
+  ASSERT_NE(it, graphs.end());
+  device::Device default_dev(device::tiny_profile(), /*host_workers=*/1);
+  device::Device dense_dev(device::tiny_profile(), /*host_workers=*/1);
+  const auto adaptive = scc::run_algorithm_on("ecl-a100", it->graph, default_dev);
+  const auto dense = scc::run_algorithm_on("ecl-loadbalance", it->graph, dense_dev);
+  ASSERT_TRUE(adaptive.ok() && dense.ok());
+  EXPECT_GT(adaptive.metrics.hashbag_rounds, 0u);
+  EXPECT_GT(adaptive.metrics.chains_collapsed, 0u);
+  EXPECT_EQ(dense.metrics.hashbag_rounds, 0u);
+  EXPECT_EQ(dense.metrics.chains_collapsed, 0u);
+  EXPECT_EQ(dense.labels, adaptive.labels);
 }
 
 TEST(Registry, RunAlgorithmOnUsesCallerDevice) {

@@ -66,13 +66,10 @@ TEST(Device, ZeroBlockLaunchIsANoOp) {
 TEST(Device, WorkStealingLaunchCoversAllBlocksOnce) {
   Device dev(device::tiny_profile(), 4);
   std::vector<std::atomic<int>> hits(129);
-  dev.launch(
-      129,
-      [&](const BlockContext& ctx) {
-        ASSERT_LT(ctx.block_id, 129u);
-        hits[ctx.block_id].fetch_add(1);
-      },
-      {.work_stealing = true});
+  dev.launch(129, [&](const BlockContext& ctx) {
+    ASSERT_LT(ctx.block_id, 129u);
+    hits[ctx.block_id].fetch_add(1);
+  });
   for (std::size_t b = 0; b < hits.size(); ++b)
     ASSERT_EQ(hits[b].load(), 1) << "block " << b;
   EXPECT_EQ(dev.stats().blocks_executed, 129u);

@@ -67,7 +67,7 @@ TEST(ThreadPool, DefaultWorkerCountIsPositive) {
 TEST(ThreadPool, StealingModeRunsEveryTaskExactlyOnce) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1003);  // awkward size: uneven ranges
-  pool.parallel_for(1003, [&](std::size_t i) { hits[i].fetch_add(1); }, true);
+  pool.parallel_for(1003, [&](std::size_t i) { hits[i].fetch_add(1); });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
@@ -86,8 +86,7 @@ TEST(ThreadPool, StealingCountersAccountForEveryTask) {
             for (int k = 0; k < 2000; ++k) sink = sink + k;
           }
           ran.fetch_add(1, std::memory_order_relaxed);
-        },
-        true);
+        });
   }
   EXPECT_EQ(ran.load(), static_cast<int>(total) * 20);
   // Every executed task was claimed exactly once (owned or stolen).
@@ -97,7 +96,7 @@ TEST(ThreadPool, StealingCountersAccountForEveryTask) {
 TEST(ThreadPool, SingleWorkerNeverSteals) {
   ThreadPool pool(1);
   std::atomic<int> sum{0};
-  pool.parallel_for(100, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); }, true);
+  pool.parallel_for(100, [&](std::size_t i) { sum.fetch_add(static_cast<int>(i)); });
   EXPECT_EQ(sum.load(), 4950);
   EXPECT_EQ(pool.claimed_tasks(), 100u);
   EXPECT_EQ(pool.stolen_tasks(), 0u);
@@ -106,22 +105,20 @@ TEST(ThreadPool, SingleWorkerNeverSteals) {
 TEST(ThreadPool, StealingModeZeroTasksIsNoop) {
   ThreadPool pool(3);
   bool ran = false;
-  pool.parallel_for(0, [&](std::size_t) { ran = true; }, true);
+  pool.parallel_for(0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
 TEST(ThreadPool, ExceptionPropagatesInStealingMode) {
   ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(
-                   64,
-                   [&](std::size_t i) {
-                     if (i == 63) throw std::runtime_error("boom");
-                   },
-                   true),
+  EXPECT_THROW(pool.parallel_for(64,
+                                 [&](std::size_t i) {
+                                   if (i == 63) throw std::runtime_error("boom");
+                                 }),
                std::runtime_error);
   // The pool must stay usable after a failed batch.
   std::atomic<int> ok{0};
-  pool.parallel_for(16, [&](std::size_t) { ok.fetch_add(1); }, true);
+  pool.parallel_for(16, [&](std::size_t) { ok.fetch_add(1); });
   EXPECT_EQ(ok.load(), 16);
 }
 

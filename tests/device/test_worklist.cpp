@@ -10,6 +10,9 @@ namespace {
 using device::EdgeWorklist;
 using graph::Edge;
 
+/// One-edge append: a span of length one through the bulk path.
+void push(EdgeWorklist& wl, Edge e) { wl.push_next_bulk({&e, 1}); }
+
 TEST(Worklist, InitFromGraphHoldsAllEdges) {
   const auto g = graph::cycle_graph(16);
   EdgeWorklist wl(g);
@@ -20,8 +23,8 @@ TEST(Worklist, InitFromGraphHoldsAllEdges) {
 TEST(Worklist, PushAndSwap) {
   const std::vector<Edge> init{{0, 1}, {1, 2}, {2, 0}};
   EdgeWorklist wl{std::span<const Edge>(init)};
-  wl.push_next({0, 1});
-  wl.push_next({2, 0});
+  push(wl, {0, 1});
+  push(wl, {2, 0});
   EXPECT_EQ(wl.size(), 3u);       // current buffer unchanged
   EXPECT_EQ(wl.next_size(), 2u);  // survivors staged
   wl.swap_buffers();
@@ -36,7 +39,7 @@ TEST(Worklist, RepeatedShrinkage) {
   std::size_t expected = 64;
   while (expected > 0) {
     const auto edges = wl.edges();
-    for (std::size_t i = 0; i < edges.size(); i += 2) wl.push_next(edges[i]);
+    for (std::size_t i = 0; i < edges.size(); i += 2) push(wl, edges[i]);
     wl.swap_buffers();
     expected = (expected + 1) / 2;
     if (expected == 1) {
@@ -60,7 +63,7 @@ TEST(Worklist, ConcurrentPushesFromDeviceBlocks) {
   const auto edges = wl.edges();
   dev.launch(8, [&](const device::BlockContext& ctx) {
     ctx.for_each_chunk(m, [&](std::uint64_t lo, std::uint64_t hi) {
-      for (std::uint64_t i = lo; i < hi; ++i) wl.push_next(edges[i]);
+      for (std::uint64_t i = lo; i < hi; ++i) push(wl, edges[i]);
     });
   });
   wl.swap_buffers();
@@ -79,11 +82,11 @@ TEST(Worklist, OverflowAssertsInDebugBuilds) {
   const std::vector<Edge> init{{0, 1}, {1, 2}};
   auto overflow = [&] {
     EdgeWorklist wl{std::span<const Edge>(init)};
-    wl.push_next({0, 1});
-    wl.push_next({1, 2});
-    wl.push_next({2, 0});  // past capacity
+    push(wl, {0, 1});
+    push(wl, {1, 2});
+    push(wl, {2, 0});  // past capacity
   };
-  EXPECT_DEBUG_DEATH(overflow(), "push_next");
+  EXPECT_DEBUG_DEATH(overflow(), "push_next_bulk");
 }
 
 #ifdef NDEBUG
@@ -91,10 +94,10 @@ TEST(Worklist, OverflowRaisesStickyFlagAndDropsEdge) {
   const std::vector<Edge> init{{0, 1}, {1, 2}};
   EdgeWorklist wl{std::span<const Edge>(init)};
   EXPECT_FALSE(wl.overflowed());
-  wl.push_next({0, 1});
-  wl.push_next({1, 2});
+  push(wl, {0, 1});
+  push(wl, {1, 2});
   EXPECT_FALSE(wl.overflowed());
-  wl.push_next({2, 0});  // past capacity: dropped, flag raised
+  push(wl, {2, 0});  // past capacity: dropped, flag raised
   EXPECT_TRUE(wl.overflowed());
   EXPECT_EQ(wl.next_size(), 3u) << "the cursor records the attempted append";
   wl.swap_buffers();
@@ -154,10 +157,10 @@ TEST(Worklist, BulkOverflowStoresPrefixAndCountsDroppedEdges) {
 TEST(Worklist, SinglePushOverflowCountsDroppedEdges) {
   const std::vector<Edge> init{{0, 1}};
   EdgeWorklist wl{std::span<const Edge>(init)};
-  wl.push_next({0, 1});
+  push(wl, {0, 1});
   EXPECT_EQ(wl.dropped_edges(), 0u);
-  wl.push_next({1, 0});
-  wl.push_next({0, 1});
+  push(wl, {1, 0});
+  push(wl, {0, 1});
   EXPECT_EQ(wl.dropped_edges(), 2u);
 }
 #endif
@@ -216,7 +219,7 @@ TEST(Worklist, CapacityIsFixedAtConstruction) {
   const auto g = graph::cycle_graph(16);
   EdgeWorklist wl(g);
   EXPECT_EQ(wl.capacity(), 16u);
-  wl.push_next({0, 1});
+  push(wl, {0, 1});
   wl.swap_buffers();
   EXPECT_EQ(wl.capacity(), 16u) << "shrinking contents must not shrink capacity";
 }

@@ -469,35 +469,33 @@ TEST(ShardCuts, SingleVertexShardsMatchReference) {
 }
 
 TEST(ShardedScc, HighdiameterLeversPreserveLabelsAcrossShardCounts) {
-  // §15 levers in the fleet: chain chasing runs per shard (chases stop at
-  // shard boundaries), the hash-bag frontier is forced off internally —
-  // passing it on must be harmless. Either way the stitched labels stay
-  // bit-identical to the single-device reference.
+  // §15 paths in the fleet: for K > 1 chain chasing runs per shard (chases
+  // stop at shard boundaries) and the hash-bag frontier stays off; K = 1 is
+  // the single-device solver with its own sparse frontier and hub gate.
+  // Either way the stitched labels stay bit-identical to the single-device
+  // reference and to Tarjan's max-member labels.
   DevicePool pool(fleet_config());
   for (const auto& family : families()) {
     const SccResult reference = single_device_reference(family.graph);
     ASSERT_TRUE(reference.ok()) << family.name;
-    for (const bool chasing : {false, true}) {
-      for (unsigned k : {2u, 3u, 8u}) {
-        ShardedOptions opts;
-        opts.shards = k;
-        opts.ecl.chain_chasing = chasing;
-        opts.ecl.hashbag_frontier = true;  // coordinator must force this off
-        const SccResult sharded = fleet::sharded_scc(family.graph, pool, opts);
-        ASSERT_TRUE(sharded.ok())
-            << family.name << " K=" << k << " chasing=" << chasing;
-        EXPECT_EQ(sharded.labels, reference.labels)
-            << family.name << ": K=" << k << " chasing=" << chasing
-            << " diverged from single-device labels";
-        if (!chasing) EXPECT_EQ(sharded.metrics.chains_collapsed, 0u) << family.name;
+    EXPECT_EQ(reference.labels, tarjan_max_labels(family.graph)) << family.name;
+    for (unsigned k : {1u, 2u, 3u, 8u}) {
+      ShardedOptions opts;
+      opts.shards = k;
+      const SccResult sharded = fleet::sharded_scc(family.graph, pool, opts);
+      ASSERT_TRUE(sharded.ok()) << family.name << " K=" << k;
+      EXPECT_EQ(sharded.labels, reference.labels)
+          << family.name << ": K=" << k << " diverged from single-device labels";
+      if (k > 1) {
+        EXPECT_EQ(sharded.metrics.hashbag_rounds, 0u) << family.name;
       }
     }
   }
 }
 
 TEST(ShardedScc, ChainChasingBitIdenticalUnderSeededChaos) {
-  // The §15 lever joins the chaos differential: a recoverable fault plan on
-  // device 1 with chasing on must still stitch to the reference labels
+  // The §15 chaser joins the chaos differential: a recoverable fault plan on
+  // device 1 must still stitch to the reference labels
   // (chases re-apply the same monotone rule; faulted stores retry or are
   // caught by the certifier ladder).
   for (std::uint64_t seed : {0x51u, 0x52u, 0x53u, 0x54u}) {
@@ -511,7 +509,6 @@ TEST(ShardedScc, ChainChasingBitIdenticalUnderSeededChaos) {
       for (unsigned k : {2u, 8u}) {
         ShardedOptions opts;
         opts.shards = k;
-        opts.ecl.chain_chasing = true;
         const SccResult sharded = fleet::sharded_scc(family.graph, pool, opts);
         EXPECT_EQ(sharded.labels, reference.labels)
             << family.name << ": K=" << k << " seed=" << seed

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -166,6 +169,71 @@ TEST(GraphIo, BinaryRejectsTruncation) {
   std::stringstream cut(full.substr(0, full.size() / 2),
                         std::ios::in | std::ios::binary);
   EXPECT_THROW((void)graph::read_binary(cut), std::runtime_error);
+}
+
+/// A raw .eclg image: the header (magic, version 1, n, m) followed by the
+/// offset and target arrays exactly as given, consistent or not.
+std::string eclg_image(std::uint64_t n, std::uint64_t m, const std::vector<graph::eid>& offsets,
+                       const std::vector<graph::vid>& targets) {
+  std::string bytes = "ECLG";
+  const auto put = [&](const auto& value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(std::uint32_t{1});
+  put(n);
+  put(m);
+  for (const graph::eid o : offsets) put(o);
+  for (const graph::vid t : targets) put(t);
+  return bytes;
+}
+
+/// The loader must reject `image` with an "eclg: ..." runtime_error whose
+/// message contains `defect`.
+void expect_rejected(const std::string& image, const std::string& defect) {
+  std::stringstream in(image, std::ios::in | std::ios::binary);
+  try {
+    (void)graph::read_binary(in);
+    ADD_FAILURE() << "accepted a file whose defect is: " << defect;
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_EQ(message.rfind("eclg: ", 0), 0u) << message;
+    EXPECT_NE(message.find(defect), std::string::npos) << message;
+  }
+}
+
+TEST(GraphIo, BinaryRejectsTargetFarOutOfRangeBeforeReverse) {
+  // Two vertices, one edge 0 -> 100000: once loaded, Digraph::reverse()
+  // would write past its offsets array.
+  expect_rejected(eclg_image(2, 1, {0, 1, 1}, {100000}), "out of range");
+}
+
+TEST(GraphIo, BinaryRejectsTargetEqualToVertexCount) {
+  expect_rejected(eclg_image(3, 2, {0, 1, 2, 2}, {1, 3}), "out of range");
+}
+
+TEST(GraphIo, BinaryRejectsVertexCountBeyondIdSpace) {
+  expect_rejected(eclg_image(graph::kInvalidVid, 0, {}, {}), "vertex ID space");
+  expect_rejected(eclg_image(std::uint64_t{1} << 40, 0, {}, {}), "vertex ID space");
+}
+
+TEST(GraphIo, BinaryRejectsArraysLargerThanTheFile) {
+  expect_rejected(eclg_image(2, std::uint64_t{1} << 40, {0, 1, 1}, {1}), "bytes left");
+  expect_rejected(eclg_image(1u << 30, 0, {0}, {}), "bytes left");
+}
+
+TEST(GraphIo, BinaryRejectsNonzeroFirstOffset) {
+  expect_rejected(eclg_image(2, 1, {1, 1, 1}, {0}), "offsets[0]");
+}
+
+TEST(GraphIo, BinaryRejectsDecreasingOffsets) {
+  expect_rejected(eclg_image(3, 2, {0, 2, 1, 2}, {1, 2}), "decrease");
+  // Offsets that end anywhere but at the edge count are inconsistent too.
+  expect_rejected(eclg_image(2, 2, {0, 1, 1}, {1, 0}), "edge count");
+}
+
+TEST(GraphIo, BinaryRejectsRowsNotStrictlyIncreasing) {
+  expect_rejected(eclg_image(3, 2, {0, 2, 2, 2}, {2, 1}), "strictly increasing");
+  expect_rejected(eclg_image(3, 2, {0, 2, 2, 2}, {1, 1}), "strictly increasing");  // duplicate
 }
 
 TEST(GraphIo, FileDispatchByExtension) {

@@ -16,7 +16,6 @@ namespace {
 
 using service::BackendHealth;
 using service::BackendHealthRegistry;
-using service::BreakerState;
 using service::FaultKind;
 using service::HealthConfig;
 
@@ -43,13 +42,12 @@ TEST(HealthRegistry, StartsHealthyAndAllows) {
   for (std::size_t b = 0; b < reg.size(); ++b) {
     EXPECT_TRUE(reg.allow(b, t0()));
     EXPECT_EQ(reg.health(b, t0()), BackendHealth::kHealthy);
-    EXPECT_EQ(reg.breaker_state(b, t0()), BreakerState::kClosed);
   }
 }
 
 TEST(HealthRegistry, UnitWeightsDegenerateToFailureRateRule) {
-  // 2 stalls in 4 samples = rate 0.5 = threshold: trips, exactly like the
-  // legacy breaker.
+  // 2 stalls in 4 samples = rate 0.5 = threshold: trips, exactly like a
+  // plain failure-rate breaker.
   BackendHealthRegistry reg({"ecl"}, small_config());
   const auto now = t0();
   reg.record(0, FaultKind::kStall, now);
@@ -111,7 +109,6 @@ TEST(HealthRegistry, CooldownLeadsToProbationWithBoundedProbes) {
   // After: probation, exactly half_open_probes (=1) probe admitted.
   const auto later = now + std::chrono::duration_cast<Clock::duration>(Sec(1.5));
   EXPECT_EQ(reg.health(0, later), BackendHealth::kProbation);
-  EXPECT_EQ(reg.breaker_state(0, later), BreakerState::kHalfOpen);
   EXPECT_TRUE(reg.allow(0, later));
   EXPECT_FALSE(reg.allow(0, later)) << "probe budget is bounded";
   EXPECT_EQ(reg.probations(), 1u);

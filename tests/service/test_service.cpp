@@ -186,10 +186,10 @@ TEST(SccService, ChaosOpensBreakerAndStopsRoutingToBackend) {
   // Enough failures to cross the breaker's min_samples threshold.
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(svc.call(req).ok());
 
-  const auto states = svc.breaker_states();
-  ASSERT_EQ(states.size(), 1u);
-  EXPECT_EQ(states[0].first, "ecl-a100");
-  EXPECT_EQ(states[0].second, service::BreakerState::kOpen);
+  const auto health = svc.backend_health();
+  ASSERT_EQ(health.size(), 1u);
+  EXPECT_EQ(health[0].name, "ecl-a100");
+  EXPECT_EQ(health[0].health, service::BackendHealth::kQuarantined);
 
   const Response shielded = svc.call(req);
   ASSERT_TRUE(shielded.ok());
