@@ -22,6 +22,33 @@ using device::BlockContext;
 using device::EdgeWorklist;
 using device::SignatureStore;
 
+// --- Priority switch (DESIGN.md §16) -----------------------------------------
+//
+// Any injective priority reaches the same partition; vertex IDs are only the
+// paper's choice. They follow the input's element order, which suits shallow
+// sweeps and starves some deep ones: on mobius-strip ordinate 2 the last
+// ~7,800 of 83,538 vertices took iterations 4-101 at ~80 labels each. So a
+// run starts in vertex-ID order and switches once, at an outer-iteration
+// boundary, to a fixed-seed random order when an iteration stops making
+// progress. Measured at ECL_SCALE=0.02 on all 10 power-law stand-ins and all
+// 42 large-mesh ordinates: every iteration from 2 on labels at least 14.3%
+// of the vertices unlabelled at its start, except on mobius-strip ordinates
+// 2 and 3, whose iterations 4-12 label 1.2-2.4% each. 1/16 (6.25%) splits
+// that gap. Iteration 1 is never judged: on meshes it labels at most 0.42%
+// of the vertices yet removes 41-80% of the worklist, so counting it would
+// switch every mesh (and an unconditional switch after two iterations took
+// torch-hex ordinate 1 from 4 to 11 iterations).
+constexpr std::uint64_t kSwitchFromIteration = 3;  ///< first iteration that may switch
+constexpr std::uint64_t kSwitchProgressShare = 16;  ///< switch below 1/16 labelled
+constexpr std::uint64_t kPrioritySeed = 0x5eed'0f'9a11;
+
+/// True when the run should switch before its next iteration: `finished`
+/// iterations have completed, and the last of them, which began with
+/// `unlabeled` vertices left, labelled only `gained` of them.
+bool priority_switch_due(std::uint64_t finished, std::uint64_t gained, std::uint64_t unlabeled) {
+  return finished + 1 >= kSwitchFromIteration && gained * kSwitchProgressShare < unlabeled;
+}
+
 /// Per-run state shared by the kernels.
 struct EclState {
   explicit EclState(const Digraph& g)
@@ -66,6 +93,25 @@ struct EclState {
   std::atomic<std::uint64_t> chain_steps{0};
   std::atomic<std::uint64_t> max_chain_len{0};
   std::uint64_t hashbag_rounds = 0;  ///< control thread only
+
+  /// Priority order (DESIGN.md §16). Signatures carry vertex IDs until the
+  /// switch; from then on they carry priority[v] = π(v), a fixed-seed random
+  /// permutation built once, and vertex_of = π⁻¹ maps a signature back to
+  /// its vertex. Signature storage stays in vertex order either way.
+  std::vector<vid> priority, vertex_of;
+  bool random_order = false;
+
+  void set_random_order(bool on) {
+    if (on && priority.empty()) {
+      Rng rng(kPrioritySeed);
+      priority = graph::random_permutation(n, rng);
+      vertex_of = graph::invert_permutation(priority);
+    }
+    random_order = on;
+  }
+  /// π and π⁻¹ for the kernels; null while the order is vertex IDs.
+  const vid* priorities() const noexcept { return random_order ? priority.data() : nullptr; }
+  const vid* vertices() const noexcept { return random_order ? vertex_of.data() : nullptr; }
 };
 
 // The per-edge propagation bodies (monotone store dispatch, path
@@ -90,9 +136,11 @@ struct CheckpointState {
 
 void take_checkpoint(EclState& st, const EclOptions& opts, CheckpointState& ckpt,
                      std::uint64_t outer_iteration, SccMetrics& metrics) {
+  const Timer timer;
   FixpointCheckpoint& c = ckpt.snap;
   c.valid = true;
   c.outer_iteration = outer_iteration;
+  c.random_priority = st.random_order;
   c.labels = st.labels;
   const auto edges = st.worklist.edges();
   c.worklist.assign(edges.begin(), edges.end());
@@ -113,6 +161,7 @@ void take_checkpoint(EclState& st, const EclOptions& opts, CheckpointState& ckpt
   }
   ckpt.sweeps_since = 0;
   ++metrics.checkpoints_taken;
+  metrics.checkpoint_seconds += timer.seconds();
 }
 
 /// Restores the snapshot into the live state. Every vertex epoch is stamped
@@ -120,6 +169,7 @@ void take_checkpoint(EclState& st, const EclOptions& opts, CheckpointState& ckpt
 /// active under frontier gating (the snapshot predates the current clock).
 void restore_checkpoint(EclState& st, const EclOptions& opts, const CheckpointState& ckpt) {
   const FixpointCheckpoint& c = ckpt.snap;
+  st.set_random_order(c.random_priority);
   st.labels = c.labels;
   st.worklist.reset(c.worklist);
   const vid n = st.n;
@@ -141,7 +191,7 @@ void restore_checkpoint(EclState& st, const EclOptions& opts, const CheckpointSt
 /// The solver's propagation view: signatures, fault hook, and (during an
 /// armed Phase-2 sweep) the mover bag. Built once per kernel block.
 detail::SigView sig_view(EclState& st) noexcept {
-  return {st.sigs, st.fault, st.active_bag};
+  return {st.sigs, st.fault, st.active_bag, st.vertices()};
 }
 
 // grid_size and for_each_owned live in core/propagate.hpp (shared with the
@@ -154,14 +204,16 @@ void phase1_init(EclState& st, device::Device& dev, const EclOptions& opts) {
   // Every re-initialized vertex is stamped with this round, so the first
   // Phase-2 sweep (round + 1) sees all of its edges as active.
   const std::uint32_t round = ++st.round;
+  const vid* const priority = st.priorities();
   dev.launch(
       grid_size(dev, n, opts.persistent_threads),
       [&, round](const BlockContext& ctx) {
         ctx.for_each_chunk(n, [&](std::uint64_t lo, std::uint64_t hi) {
           for (std::uint64_t v = lo; v < hi; ++v) {
             if (st.labels[v] == graph::kInvalidVid) {
-              st.sigs.vin(v).store(static_cast<std::uint32_t>(v), std::memory_order_relaxed);
-              st.sigs.vout(v).store(static_cast<std::uint32_t>(v), std::memory_order_relaxed);
+              const std::uint32_t p = priority ? priority[v] : static_cast<std::uint32_t>(v);
+              st.sigs.vin(v).store(p, std::memory_order_relaxed);
+              st.sigs.vout(v).store(p, std::memory_order_relaxed);
               if (opts.min_max_signatures) {
                 st.sigs.min_in(v).store(static_cast<std::uint32_t>(v),
                                         std::memory_order_relaxed);
@@ -530,8 +582,11 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
 
 void detect_components(EclState& st, device::Device& dev, const EclOptions& opts) {
   const std::uint64_t n = st.n;
+  const vid* const vertex_of = st.vertices();
   // Idempotent: already-labeled vertices are skipped, so a spurious replay
-  // finds nothing new to label and adds 0 to the labeled counter.
+  // finds nothing new to label and adds 0 to the labeled counter. Under the
+  // random order a vertex is labelled by the member with the top priority;
+  // ecl_scc renames every class by its largest member afterwards.
   dev.launch(
       grid_size(dev, n, opts.persistent_threads),
       [&](const BlockContext& ctx) {
@@ -542,7 +597,7 @@ void detect_components(EclState& st, device::Device& dev, const EclOptions& opts
             const std::uint32_t i = st.sigs.vin(v).load(std::memory_order_relaxed);
             const std::uint32_t o = st.sigs.vout(v).load(std::memory_order_relaxed);
             if (i == o) {
-              st.labels[v] = i;
+              st.labels[v] = vertex_of ? vertex_of[i] : i;
               ++local;
               continue;
             }
@@ -636,22 +691,25 @@ void serial_fallback(const Digraph& g, SccResult& result) {
     result.labels[sub.to_parent[i]] = comp_max[serial.labels[i]];
 }
 
-/// Translates labels computed on the hub-reordered graph back to original
-/// vertex IDs, renaming every component by its maximum ORIGINAL member so
-/// the result is bit-identical to an unreordered run (§3.2.1's max-ID
-/// naming is a function of the graph, not the schedule). Unlabeled
-/// vertices (kInvalidVid, possible under kReturnError) pass through.
+/// Renames every component by its maximum ORIGINAL member, translating
+/// labels computed on the hub-reordered graph back to original vertex IDs
+/// when `perm` is non-empty (an empty `perm` is the identity). This makes a
+/// reordered or priority-switched solve bit-identical to a plain run
+/// (§3.2.1's max-ID naming is a function of the graph, not the schedule).
+/// Unlabeled vertices (kInvalidVid, possible under kReturnError) pass
+/// through.
 void remap_labels_to_original(SccResult& result, const std::vector<vid>& perm) {
-  const vid n = static_cast<vid>(perm.size());
-  std::vector<vid> name(n, graph::kInvalidVid);  // component (new-ID name) -> max original member
+  const vid n = static_cast<vid>(result.labels.size());
+  const auto solved = [&](vid v) { return perm.empty() ? v : perm[v]; };
+  std::vector<vid> name(n, graph::kInvalidVid);  // component (solver name) -> max original member
   for (vid v = 0; v < n; ++v) {
-    const vid c = result.labels[perm[v]];
+    const vid c = result.labels[solved(v)];
     if (c == graph::kInvalidVid) continue;
     if (name[c] == graph::kInvalidVid || v > name[c]) name[c] = v;
   }
   std::vector<vid> original(n, graph::kInvalidVid);
   for (vid v = 0; v < n; ++v) {
-    const vid c = result.labels[perm[v]];
+    const vid c = result.labels[solved(v)];
     if (c != graph::kInvalidVid) original[v] = name[c];
   }
   result.labels = std::move(original);
@@ -703,6 +761,14 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
   // the last quiescent snapshot and replay, at most max_resumes times.
   CheckpointState ckpt;
   const bool checkpointing = opts.checkpoint.enabled;
+  // The priority switch (see kSwitchFromIteration) is skipped under
+  // min_max_signatures, whose min-side labels name by minimum member, and
+  // with remove_scc_edges off, where completed SCCs keep worklist edges
+  // whose signatures stay in vertex-ID order.
+  const bool may_switch = !opts.min_max_signatures && opts.remove_scc_edges;
+  // Iterations that completed and stood (a resumed attempt is not counted
+  // twice), and the progress of the last one.
+  std::uint64_t finished = 0, last_gained = 0, last_unlabeled = 0;
   unsigned resumes_left = checkpointing ? opts.checkpoint.max_resumes : 0;
   bool skip_phase1 = false;  // set on resume: Phase 1 would reset the restored signatures
   Timer run_timer;
@@ -744,6 +810,7 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
       break;
     }
 
+    const std::uint64_t labeled_at_start = st.labeled.load(std::memory_order_relaxed);
     Timer phase_timer;
     if (skip_phase1) {
       // Resumed: the restored signatures ARE the phase-1-initialized state
@@ -752,8 +819,17 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
       // and discard the checkpointed propagation progress.
       skip_phase1 = false;
     } else {
+      // Switching only here is sound: Phase 1 re-initializes every
+      // unlabeled signature in the new order, and labeled vertices' slots
+      // are never read again (no worklist edge touches them).
+      if (may_switch && !st.random_order &&
+          priority_switch_due(finished, last_gained, last_unlabeled)) {
+        st.set_random_order(true);
+        result.metrics.priority_switch_iteration = result.metrics.outer_iterations;
+      }
       phase1_init(st, dev, opts);
     }
+    result.metrics.phase1_seconds += phase_timer.seconds();
     // Outer-boundary snapshot, AFTER Phase 1: labels and worklist are at
     // their iteration-start values and signatures are freshly initialized,
     // so restoring here and skipping Phase 1 replays this iteration
@@ -762,8 +838,8 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
     // re-converge with no new labels — an instant stall.)
     if (checkpointing)
       take_checkpoint(st, opts, ckpt, result.metrics.outer_iterations, result.metrics);
-    result.metrics.phase1_seconds += phase_timer.seconds();
     phase_timer.reset();
+    const double checkpoint_before = result.metrics.checkpoint_seconds;
     // Chain chasing (§15) walks only CURRENT-worklist edges; mark the
     // degree-one index stale here so fresh iterations AND resumed ones (a
     // restored checkpoint replaces the worklist) rebuild it — lazily, on
@@ -772,7 +848,9 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
     const bool converged =
         phase2_propagate(st, dev, opts, result.metrics, *watchdog,
                          checkpointing ? &ckpt : nullptr, result.metrics.outer_iterations);
-    result.metrics.phase2_seconds += phase_timer.seconds();
+    // In-phase snapshots are timed on their own, not as Phase 2.
+    result.metrics.phase2_seconds +=
+        phase_timer.seconds() - (result.metrics.checkpoint_seconds - checkpoint_before);
     if (!converged) {
       ++result.metrics.watchdog_trips;
       note_trip();
@@ -814,6 +892,9 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
                           std::to_string(opts.watchdog.stall_rounds) + " iterations"};
       break;
     }
+    ++finished;
+    last_unlabeled = n - labeled_at_start;
+    last_gained = st.labeled.load(std::memory_order_relaxed) - labeled_at_start;
   }
 
   result.metrics.edges_processed = st.edges_processed.load(std::memory_order_relaxed);
@@ -875,7 +956,12 @@ SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts)
       return result;
     }
   }
-  return solve(g, dev, opts);
+  SccResult result = solve(g, dev, opts);
+  // After a priority switch, labels name each class by its top-priority
+  // member; one O(n) pass restores max-member names (the reordered path
+  // above gets the same pass from its remap).
+  if (result.metrics.priority_switch_iteration != 0) remap_labels_to_original(result, {});
+  return result;
 }
 
 device::Device& shared_device() {

@@ -62,6 +62,9 @@ struct CheckpointConfig {
 struct FixpointCheckpoint {
   bool valid = false;
   std::uint64_t outer_iteration = 0;  ///< outer loop trips completed at snapshot
+  /// The signatures carry the random priority order π, not vertex IDs
+  /// (DESIGN.md §16); a restore re-establishes the order they were taken in.
+  bool random_priority = false;
   std::vector<vid> labels;
   std::vector<graph::Edge> worklist;
   /// Signature arrays. Snapshotting labels alone would be unsound: under

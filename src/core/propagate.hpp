@@ -62,6 +62,14 @@ struct SigView {
   /// makes repeated movements of one vertex (e.g. along a chased chain)
   /// cost one frontier entry.
   device::HashBag* bag = nullptr;
+  /// Random priority order (DESIGN.md §16): when set, signatures hold
+  /// priorities π(v) and vertex_of[p] = π⁻¹(p) is the vertex with priority
+  /// p. Null means vertex-ID order, π = identity (the fleet's K > 1
+  /// kernels always pass null).
+  const vid* vertex_of = nullptr;
+
+  /// The vertex a signature value names.
+  vid vertex(std::uint32_t sig) const noexcept { return vertex_of ? vertex_of[sig] : sig; }
 };
 
 /// Signature store dispatch: the paper's atomic-free monotonic store or a
@@ -121,28 +129,35 @@ inline bool propagate_edge(const SigView& st, graph::Edge e, const EclOptions& o
   const vid v = e.dst;
   bool any = false;
 
-  // out[u] <- max(out[u], out[v])   (compressed: out[out[v]], §3.3)
+  // out[u] <- max(out[u], out[v])   (compressed: out[out[v]], §3.3). The
+  // hop and both lift targets index by the vertex a signature names.
   std::uint32_t ov = st.sigs.vout(v).load(std::memory_order_relaxed);
-  if (opts.path_compression) ov = st.sigs.vout(ov).load(std::memory_order_relaxed);
+  if (opts.path_compression) ov = st.sigs.vout(st.vertex(ov)).load(std::memory_order_relaxed);
   const std::uint32_t ou = st.sigs.vout(u).load(std::memory_order_relaxed);
   if (ov > ou) {
-    if (opts.path_compression && ou != u) {
-      // Lift: ou is a descendant of u, so u's ancestors are ou's ancestors.
-      const std::uint32_t iu = st.sigs.vin(u).load(std::memory_order_relaxed);
-      any |= store_max(st, st.sigs.vin(ou), ou, iu, opts, round);
+    if (opts.path_compression) {
+      // Lift: ou names a descendant of u, so u's ancestors are its ancestors.
+      const vid d = st.vertex(ou);
+      if (d != u) {
+        const std::uint32_t iu = st.sigs.vin(u).load(std::memory_order_relaxed);
+        any |= store_max(st, st.sigs.vin(d), d, iu, opts, round);
+      }
     }
     any |= store_max(st, st.sigs.vout(u), u, ov, opts, round);
   }
 
   // in[v] <- max(in[v], in[u])   (compressed: in[in[u]])
   std::uint32_t iu = st.sigs.vin(u).load(std::memory_order_relaxed);
-  if (opts.path_compression) iu = st.sigs.vin(iu).load(std::memory_order_relaxed);
+  if (opts.path_compression) iu = st.sigs.vin(st.vertex(iu)).load(std::memory_order_relaxed);
   const std::uint32_t iv = st.sigs.vin(v).load(std::memory_order_relaxed);
   if (iu > iv) {
-    if (opts.path_compression && iv != v) {
-      // Lift: iv is an ancestor of v, so v's descendants are iv's descendants.
-      const std::uint32_t ovv = st.sigs.vout(v).load(std::memory_order_relaxed);
-      any |= store_max(st, st.sigs.vout(iv), iv, ovv, opts, round);
+    if (opts.path_compression) {
+      // Lift: iv names an ancestor of v, so v's descendants are its descendants.
+      const vid a = st.vertex(iv);
+      if (a != v) {
+        const std::uint32_t ovv = st.sigs.vout(v).load(std::memory_order_relaxed);
+        any |= store_max(st, st.sigs.vout(a), a, ovv, opts, round);
+      }
     }
     any |= store_max(st, st.sigs.vin(v), v, iu, opts, round);
   }

@@ -88,6 +88,10 @@ struct SccMetrics {
   /// (DESIGN.md §11/§15). Lets callers and tests see which side of the
   /// gate a graph fell on.
   bool hub_reorder_applied = false;
+  /// Outer iteration at which ECL-SCC switched its signatures from
+  /// vertex-ID priorities to the seeded random order (DESIGN.md §16);
+  /// 0 when the run never switched.
+  std::uint64_t priority_switch_iteration = 0;
 
   /// Wall-clock split across Algorithm 1's phases (filled by ecl_scc; the
   /// paper's §3.3 identifies Phase 2 as the dominant, optimization-worthy
@@ -95,6 +99,9 @@ struct SccMetrics {
   double phase1_seconds = 0.0;
   double phase2_seconds = 0.0;
   double phase3_seconds = 0.0;
+  /// Wall-clock spent taking checkpoint snapshots (DESIGN.md §12, §14),
+  /// kept out of the phase timers above.
+  double checkpoint_seconds = 0.0;
 
   /// Resilience accounting: set when a watchdog trip / overflow / guard was
   /// recovered by completing the labeling with the serial fallback.

@@ -39,13 +39,6 @@ void ThreadPool::run_batch(Batch& batch, unsigned slot, bool notify_done) {
     } catch (...) {
       batch.failed.store(true, std::memory_order_relaxed);
     }
-    if (batch.completed.fetch_add(1, std::memory_order_acq_rel) + 1 >= batch.count &&
-        notify_done) {
-      // Take the lock before notifying so the wake can't slip between the
-      // caller's predicate check and its sleep.
-      { std::lock_guard lock(mutex_); }
-      work_done_.notify_one();
-    }
   };
 
   // Drain this worker's own claim range: contention-free fetch_add on a
@@ -81,8 +74,19 @@ void ThreadPool::run_batch(Batch& batch, unsigned slot, bool notify_done) {
     execute(i);
   }
 
+  // Publish the tallies before the completion count: the increment that
+  // reaches batch.count releases the caller, which may read them at once.
   if (claimed) claimed_.fetch_add(claimed, std::memory_order_relaxed);
   if (stolen) stolen_.fetch_add(stolen, std::memory_order_relaxed);
+  const std::size_t done = claimed + stolen;
+  if (done == 0) return;
+  if (batch.completed.fetch_add(done, std::memory_order_acq_rel) + done >= batch.count &&
+      notify_done) {
+    // Take the lock before notifying so the wake can't slip between the
+    // caller's predicate check and its sleep.
+    { std::lock_guard lock(mutex_); }
+    work_done_.notify_one();
+  }
 }
 
 void ThreadPool::parallel_for_erased(std::size_t count, InvokeFn invoke, const void* ctx) {

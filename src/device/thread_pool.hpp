@@ -59,7 +59,8 @@ class ThreadPool {
 
   /// Tasks claimed from a worker's own range since construction, and tasks
   /// stolen from a peer's range. claimed + stolen equals the total number
-  /// of tasks executed. Test/metrics hooks.
+  /// of tasks executed, including every batch a parallel_for has returned
+  /// from. Test/metrics hooks.
   std::uint64_t claimed_tasks() const noexcept {
     return claimed_.load(std::memory_order_relaxed);
   }
@@ -80,8 +81,9 @@ class ThreadPool {
   // never claim indices from — or run the function of — a newer one: its
   // counters are exhausted, and the shared_ptr keeps them valid to read.
   // The caller outlives fn itself: it cannot leave parallel_for until every
-  // claimed index has been completed, and workers finish their last call to
-  // fn before publishing that completion.
+  // claimed index has been completed, and a worker publishes its
+  // completions in one add, after its last call to fn and after its
+  // claimed/stolen tallies.
   struct Batch {
     InvokeFn invoke = nullptr;
     const void* ctx = nullptr;

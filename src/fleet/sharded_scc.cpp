@@ -467,6 +467,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
 
   const auto take_checkpoint = [&] {
     if (!opts.checkpoint.enabled) return;
+    const Timer timer;
     ckpt.labels = labels;
     ckpt.labeled = labeled.load(std::memory_order_relaxed);
     ckpt.edges_removed = edges_removed.load(std::memory_order_relaxed);
@@ -485,6 +486,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
     ckpt.valid = true;
     rounds_since_ckpt = 0;
     ++result.metrics.checkpoints_taken;
+    result.metrics.checkpoint_seconds += timer.seconds();
   };
 
   const auto restore_checkpoint = [&] {
@@ -669,6 +671,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
     }
 
     phase_timer.reset();
+    const double checkpoint_before = result.metrics.checkpoint_seconds;
     bool converged = true;
     bool deadline = false;
     std::uint64_t rounds = 0;
@@ -699,7 +702,9 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
       }
       if (!moved) break;
     }
-    result.metrics.phase2_seconds += phase_timer.seconds();
+    // Exchange-barrier snapshots are timed on their own, not as Phase 2.
+    result.metrics.phase2_seconds +=
+        phase_timer.seconds() - (result.metrics.checkpoint_seconds - checkpoint_before);
     if (!converged) {
       watchdog->mark_stalled();
       ++result.metrics.watchdog_trips;

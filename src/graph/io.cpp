@@ -27,6 +27,20 @@ std::ifstream open_or_throw(const std::string& path) {
   return in;
 }
 
+/// Header-declared sizes only hint the first allocation: a header line
+/// must not size one, so beyond this many entries containers grow as
+/// data arrives.
+constexpr std::uint64_t kMaxReserve = std::uint64_t{1} << 20;
+
+/// Text readers parse 64-bit values; a vertex count must stay below
+/// kInvalidVid, the "no vertex" sentinel, and every ID below the count, or
+/// the cast to the 32-bit vid would wrap.
+void check_vertex_count(std::uint64_t count, const char* format, const std::string& line) {
+  if (count >= kInvalidVid)
+    throw std::runtime_error(std::string(format) + ": vertex count " + std::to_string(count) +
+                             " does not fit the 32-bit vertex ID space in line: " + line);
+}
+
 }  // namespace
 
 Digraph read_edge_list(std::istream& in) {
@@ -48,10 +62,12 @@ Digraph read_edge_list(std::istream& in) {
       std::uint64_t nn = 0;
       if (!have_declared_n && header >> hash && hash == '#' && header >> word &&
           word == "vertices" && header >> nn) {
+        check_vertex_count(nn, "edge list", line);
         declared_n = nn;
         have_declared_n = true;
         std::uint64_t mm = 0;
-        if (header >> word && word == "edges" && header >> mm) edges.reserve(mm);
+        if (header >> word && word == "edges" && header >> mm)
+          edges.reserve(std::min(mm, kMaxReserve));
       }
       continue;
     }
@@ -62,6 +78,10 @@ Digraph read_edge_list(std::istream& in) {
     if (have_declared_n && (u >= declared_n || v >= declared_n))
       throw std::runtime_error("edge list: vertex ID out of declared range [0, " +
                                std::to_string(declared_n) + ") in line: " + line);
+    // Without a header the vertex count is the largest ID + 1.
+    if (std::max(u, v) >= kInvalidVid - 1)
+      throw std::runtime_error("edge list: vertex ID " + std::to_string(std::max(u, v)) +
+                               " does not fit the 32-bit vertex ID space in line: " + line);
     edges.add(static_cast<vid>(u), static_cast<vid>(v));
   }
   const vid n = have_declared_n ? static_cast<vid>(declared_n) : edges.min_num_vertices();
@@ -94,8 +114,9 @@ Digraph read_dimacs(std::istream& in) {
       std::uint64_t nn = 0;
       std::uint64_t mm = 0;
       if (!(ss >> kind >> nn >> mm)) throw std::runtime_error("dimacs: malformed problem line");
+      check_vertex_count(nn, "dimacs", line);
       n = static_cast<vid>(nn);
-      edges.reserve(mm);
+      edges.reserve(std::min(mm, kMaxReserve));
       saw_header = true;
     } else if (tag == 'a' || tag == 'e') {
       if (!saw_header)
@@ -134,8 +155,9 @@ Digraph read_matrix_market(std::istream& in) {
     if (!saw_size) {
       std::uint64_t entries = 0;
       if (!(ss >> rows >> cols >> entries)) throw std::runtime_error("mtx: malformed size line");
+      check_vertex_count(std::max(rows, cols), "mtx", line);
       n = static_cast<vid>(std::max(rows, cols));
-      edges.reserve(entries);
+      edges.reserve(std::min(entries, kMaxReserve));
       saw_size = true;
     } else {
       std::uint64_t i = 0;
@@ -172,7 +194,7 @@ UpdateStream read_update_stream(std::istream& in) {
       std::uint64_t nn = 0;
       if (!reserved && header >> hash && hash == '#' && header >> word &&
           word == "updates" && header >> nn) {
-        stream.reserve(nn);
+        stream.reserve(std::min(nn, kMaxReserve));
         reserved = true;
       }
       continue;
@@ -183,6 +205,9 @@ UpdateStream read_update_stream(std::istream& in) {
     std::uint64_t v = 0;
     if (!(ss >> sign >> u >> v) || (sign != '+' && sign != '-'))
       throw std::runtime_error("update stream: malformed line: " + line);
+    if (std::max(u, v) >= kInvalidVid)
+      throw std::runtime_error("update stream: vertex ID " + std::to_string(std::max(u, v)) +
+                               " does not fit the 32-bit vertex ID space in line: " + line);
     const auto kind =
         sign == '+' ? EdgeUpdate::Kind::kInsert : EdgeUpdate::Kind::kErase;
     stream.push_back({kind, static_cast<vid>(u), static_cast<vid>(v)});

@@ -81,6 +81,9 @@ TEST(Recovery, CheckpointingIsLabelTransparentFaultFree) {
 
     EXPECT_EQ(base.labels, ckpt.labels) << name << ": checkpointing changed labels";
     EXPECT_GT(ckpt.metrics.checkpoints_taken, 0u) << name;
+    // Snapshot copies are timed on their own, outside the phase timers.
+    EXPECT_GT(ckpt.metrics.checkpoint_seconds, 0.0) << name;
+    EXPECT_EQ(base.metrics.checkpoint_seconds, 0.0) << name;
     EXPECT_EQ(ckpt.metrics.resumes, 0u) << name << ": no faults, no replays";
     EXPECT_EQ(ckpt.metrics.rounds_replayed, 0u) << name;
     EXPECT_EQ(ckpt.metrics.recovery_seconds, 0.0) << name << ": no trip, no recovery span";

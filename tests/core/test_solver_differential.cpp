@@ -20,6 +20,12 @@
 // checked both ways: rmat_10 (out-degree CV 2.72) must take the reorder,
 // a mesh-like family must not.
 //
+// The priority switch (DESIGN.md §16) is checked the same way: on two deep
+// mobius-strip sweep graphs, where vertex-ID order stalls, the run must
+// switch to its random order and still return max-member labels, also
+// under chaos plans and across a checkpoint resume; everywhere else, and
+// under the two options that forbid it, it must not switch.
+//
 // FB-Trim's analogues (multi-pivot sets, trim chasing) change WHICH pivot
 // names a component, so they are checked for partition identity.
 
@@ -32,9 +38,13 @@
 #include "core/ecl_omp.hpp"
 #include "core/ecl_scc.hpp"
 #include "core/fb_trim.hpp"
+#include "core/registry.hpp"
 #include "core/tarjan.hpp"
 #include "device/fault.hpp"
 #include "graph/edge_list.hpp"
+#include "mesh/generators.hpp"
+#include "mesh/ordinates.hpp"
+#include "mesh/sweep_graph.hpp"
 
 namespace ecl::test {
 namespace {
@@ -140,6 +150,18 @@ std::vector<NamedGraph> all_families() {
   fs.push_back(rmat_10());
   fs.push_back(mesh_like());
   for (auto& f : chain_families()) fs.push_back(std::move(f));
+  return fs;
+}
+
+/// Sweep graphs on which vertex-ID order stalls: mobius_strip(4000) at
+/// ordinates 2 and 3 of six (n = 3,927). After iteration 3, element order
+/// labels only a few percent of the remaining vertices per iteration.
+std::vector<NamedGraph> switching_families() {
+  const mesh::Mesh strip = mesh::mobius_strip(4000);
+  const auto ordinates = mesh::fibonacci_ordinates(6);
+  std::vector<NamedGraph> fs;
+  fs.push_back({"mobius_4000_ord2", mesh::build_sweep_graph(strip, ordinates[2])});
+  fs.push_back({"mobius_4000_ord3", mesh::build_sweep_graph(strip, ordinates[3])});
   return fs;
 }
 
@@ -296,6 +318,74 @@ TEST(SolverDifferential, ForcedSparseRoundsMatchTarjanMaxLabels) {
     EXPECT_EQ(r.labels, tarjan_max_labels(family.graph)) << family.name;
     EXPECT_GT(r.metrics.hashbag_rounds, 0u)
         << family.name << ": forced density never took the sparse path";
+  }
+}
+
+TEST(SolverDifferential, StalledSweepsSwitchPriorityOrderAndKeepLabels) {
+  for (const auto& family : switching_families()) {
+    const std::vector<vid> oracle = tarjan_max_labels(family.graph);
+    device::Device dev(solver_profile(), /*workers=*/4);
+    const SccResult r = scc::ecl_scc(family.graph, dev);
+    ASSERT_TRUE(r.ok()) << family.name << ": " << r.error.message;
+    EXPECT_GT(r.metrics.priority_switch_iteration, 0u) << family.name;
+    EXPECT_EQ(r.labels, oracle) << family.name;
+
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      const FaultPlan plan = FaultPlan::from_seed(seed);
+      device::Device chaos(solver_profile(plan), /*workers=*/4);
+      EXPECT_EQ(scc::ecl_scc(family.graph, chaos).labels, oracle)
+          << family.name << " " << plan.describe();
+    }
+
+    const SccResult dense = scc::run_algorithm_on("ecl-loadbalance", family.graph, dev);
+    ASSERT_TRUE(dense.ok()) << family.name;
+    EXPECT_EQ(dense.labels, oracle) << family.name << " ecl-loadbalance";
+  }
+}
+
+TEST(SolverDifferential, ResumeAfterPrioritySwitchKeepsLabels) {
+  // A one-sweep Phase-2 budget trips the watchdog in every iteration that
+  // needs a second sweep, the switched ones included; each trip resumes
+  // from the snapshot one sweep back, whose signatures carry the random
+  // order, so the replayed sweeps must read them through the same π⁻¹.
+  for (const auto& family : switching_families()) {
+    EclOptions opts;
+    opts.watchdog.max_phase2_rounds = 1;
+    opts.checkpoint.sweep_interval = 1;
+    opts.checkpoint.max_resumes = 1'000'000;
+    device::Device dev(solver_profile(), /*workers=*/4);
+    const SccResult r = scc::ecl_scc(family.graph, dev, opts);
+    ASSERT_TRUE(r.ok()) << family.name << ": " << r.error.message;
+    EXPECT_GT(r.metrics.priority_switch_iteration, 0u) << family.name;
+    EXPECT_GE(r.metrics.resumes, 1u) << family.name;
+    EXPECT_FALSE(r.metrics.serial_fallback) << family.name;
+    EXPECT_EQ(r.labels, tarjan_max_labels(family.graph)) << family.name;
+  }
+}
+
+TEST(SolverDifferential, PrioritySwitchStaysOffWhereItIsNotDue) {
+  device::Device dev(solver_profile(), /*workers=*/4);
+  for (const auto& family : all_test_graphs()) {
+    const SccResult r = scc::ecl_scc(family.graph, dev);
+    ASSERT_TRUE(r.ok()) << family.name;
+    EXPECT_EQ(r.metrics.priority_switch_iteration, 0u) << family.name;
+  }
+  // The two options that forbid the switch, on graphs where it is due.
+  for (const auto& family : switching_families()) {
+    const std::vector<vid> oracle = tarjan_max_labels(family.graph);
+    EclOptions min_max;
+    min_max.min_max_signatures = true;
+    const SccResult mm = scc::ecl_scc(family.graph, dev, min_max);
+    ASSERT_TRUE(mm.ok()) << family.name;
+    EXPECT_EQ(mm.metrics.priority_switch_iteration, 0u) << family.name << " min_max";
+    EXPECT_TRUE(scc::same_partition(mm.labels, oracle)) << family.name << " min_max";
+
+    EclOptions keep_edges;
+    keep_edges.remove_scc_edges = false;
+    const SccResult kept = scc::ecl_scc(family.graph, dev, keep_edges);
+    ASSERT_TRUE(kept.ok()) << family.name;
+    EXPECT_EQ(kept.metrics.priority_switch_iteration, 0u) << family.name << " keep edges";
+    EXPECT_EQ(kept.labels, oracle) << family.name << " keep edges";
   }
 }
 

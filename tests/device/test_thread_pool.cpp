@@ -77,7 +77,7 @@ TEST(ThreadPool, StealingCountersAccountForEveryTask) {
   const std::size_t total = 5000;
   // Skew the work so range 0 is heavy and stealing actually happens often
   // enough to be observable across repetitions.
-  for (int rep = 0; rep < 20; ++rep) {
+  for (std::size_t rep = 0; rep < 20; ++rep) {
     pool.parallel_for(
         total,
         [&](std::size_t i) {
@@ -87,10 +87,11 @@ TEST(ThreadPool, StealingCountersAccountForEveryTask) {
           }
           ran.fetch_add(1, std::memory_order_relaxed);
         });
+    // Every executed task was claimed exactly once (owned or stolen), and
+    // the tallies are complete as soon as parallel_for returns.
+    EXPECT_EQ(pool.claimed_tasks() + pool.stolen_tasks(), total * (rep + 1)) << "batch " << rep;
   }
   EXPECT_EQ(ran.load(), static_cast<int>(total) * 20);
-  // Every executed task was claimed exactly once (owned or stolen).
-  EXPECT_EQ(pool.claimed_tasks() + pool.stolen_tasks(), total * 20);
 }
 
 TEST(ThreadPool, SingleWorkerNeverSteals) {

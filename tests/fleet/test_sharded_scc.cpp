@@ -316,11 +316,13 @@ TEST(ShardedScc, CheckpointCadenceFollowsConfig) {
   ASSERT_TRUE(frequent.ok());
   EXPECT_GE(frequent.metrics.checkpoints_taken,
             frequent.metrics.outer_iterations);
+  EXPECT_GT(frequent.metrics.checkpoint_seconds, 0.0);
 
   opts.checkpoint.enabled = false;
   const SccResult off = fleet::sharded_scc(g, pool, opts);
   ASSERT_TRUE(off.ok());
   EXPECT_EQ(off.metrics.checkpoints_taken, 0u);
+  EXPECT_EQ(off.metrics.checkpoint_seconds, 0.0);
   EXPECT_EQ(off.labels, frequent.labels);
 }
 

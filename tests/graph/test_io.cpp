@@ -236,6 +236,50 @@ TEST(GraphIo, BinaryRejectsRowsNotStrictlyIncreasing) {
   expect_rejected(eclg_image(3, 2, {0, 2, 2, 2}, {1, 1}), "strictly increasing");  // duplicate
 }
 
+/// A text reader must reject `text` with a runtime_error naming `line`.
+template <typename Reader>
+void expect_text_rejected(Reader read, const std::string& text, const std::string& line) {
+  std::stringstream in(text);
+  try {
+    (void)read(in);
+    ADD_FAILURE() << "accepted a file with the line: " << line;
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("vertex ID space"), std::string::npos) << message;
+    EXPECT_NE(message.find(line), std::string::npos) << message;
+  }
+}
+
+// The text readers parse 64-bit values into the 32-bit vid: an ID or count
+// of 2^32 or more used to wrap silently instead of failing.
+TEST(GraphIo, EdgeListRejectsIdsBeyondIdSpace) {
+  const auto read = [](std::istream& in) { return graph::read_edge_list(in); };
+  // 4294967297 wrapped to 1, loading a 2-cycle that is not in the file.
+  expect_text_rejected(read, "4294967297 0\n0 1\n", "4294967297 0");
+  expect_text_rejected(read, "# vertices 4294967298\n0 1\n", "# vertices 4294967298");
+  // A declared edge count only hints the first allocation.
+  std::stringstream huge("# vertices 2 edges 1099511627776\n0 1\n");
+  EXPECT_EQ(graph::read_edge_list(huge).num_edges(), 1u);
+}
+
+TEST(GraphIo, DimacsRejectsCountBeyondIdSpace) {
+  expect_text_rejected([](std::istream& in) { return graph::read_dimacs(in); },
+                       "p sp 4294967298 1\na 1 2\n", "p sp 4294967298 1");
+}
+
+TEST(GraphIo, MatrixMarketRejectsSizeBeyondIdSpace) {
+  expect_text_rejected([](std::istream& in) { return graph::read_matrix_market(in); },
+                       "%%MatrixMarket matrix coordinate pattern general\n"
+                       "4294967298 4294967298 1\n1 2\n",
+                       "4294967298 4294967298 1");
+}
+
+TEST(GraphIo, UpdateStreamRejectsIdBeyondIdSpace) {
+  // Read as the update (1, 0) before.
+  expect_text_rejected([](std::istream& in) { return graph::read_update_stream(in); },
+                       "+ 4294967297 0\n", "+ 4294967297 0");
+}
+
 TEST(GraphIo, FileDispatchByExtension) {
   const auto g = graph::cycle_chain(4, 3);
   for (const char* name : {"/tmp/ecl_io_test.eclg", "/tmp/ecl_io_test.mtx",
