@@ -51,9 +51,18 @@ bool priority_switch_due(std::uint64_t finished, std::uint64_t gained, std::uint
 
 /// Per-run state shared by the kernels.
 struct EclState {
-  explicit EclState(const Digraph& g)
-      : n(g.num_vertices()), sigs(n), labels(n, graph::kInvalidVid), worklist(g) {}
+  explicit EclState(const Digraph& g, bool min_max)
+      : csr(g),
+        n(g.num_vertices()),
+        sigs(n),
+        labels(n, graph::kInvalidVid),
+        worklist(g),
+        key(n),
+        min_key(min_max ? n : 0) {}
 
+  /// The solve graph. Sparse rounds and chases read the worklist from its
+  /// CSR through in_worklist.
+  const Digraph& csr;
   vid n;
   SignatureStore sigs;
   std::vector<vid> labels;
@@ -71,17 +80,25 @@ struct EclState {
   std::atomic<std::uint64_t> edges_skipped{0};
   std::atomic<std::uint64_t> block_iterations{0};
 
-  /// High-diameter state (DESIGN.md §15). The chain index is rebuilt lazily
-  /// on the control thread (the worklist is frozen for the duration of a
-  /// Phase 2) the first time a round is sparse enough to chase; the bag
-  /// pointer is non-null only while a Phase-2 sweep with the hash bag ARMED
-  /// is on the device.
-  detail::ChainIndex chain;
-  bool chain_stale = true;  ///< worklist changed since the last chain build
-  /// Worklist size at the last chain build: a build that found no links is
-  /// kept authoritative until the worklist shrinks materially, so chainless
-  /// graphs do not pay an O(m) rebuild every outer iteration.
-  std::uint64_t chain_built_m = 0;
+  /// Cluster keys (DESIGN.md §15): each unlabelled vertex's (vin, vout),
+  /// and under min_max_signatures its (min_in, min_out), as the last
+  /// iteration left them, recorded by Phase 1 before it resets them. Phase
+  /// 3 keeps exactly the edges whose endpoints agree on these, so a graph
+  /// edge is in the worklist iff in_worklist says so.
+  std::vector<std::uint64_t> key, min_key;
+
+  bool in_worklist(vid a, vid b) const noexcept {
+    return labels[a] == graph::kInvalidVid && labels[b] == graph::kInvalidVid &&
+           key[a] == key[b] && (min_key.empty() || min_key[a] == min_key[b]);
+  }
+
+  /// High-diameter state (DESIGN.md §15), built on the control thread at
+  /// the first round that goes sparse or may chase, once per solve: the
+  /// reverse CSR (in-edges for the sparse gather and chase predecessors)
+  /// and the per-round chase stamps. The bag pointer is non-null only while
+  /// a Phase-2 sweep with the hash bag ARMED is on the device.
+  std::optional<Digraph> reverse;
+  std::unique_ptr<std::atomic<std::uint32_t>[]> fwd_stamp, bwd_stamp;
   /// Mover-bag storage, allocated once per solve and reused across outer
   /// iterations (a fresh round tag invalidates prior contents in O(1)).
   std::optional<device::HashBag> bag_store;
@@ -93,6 +110,13 @@ struct EclState {
   std::atomic<std::uint64_t> chain_steps{0};
   std::atomic<std::uint64_t> max_chain_len{0};
   std::uint64_t hashbag_rounds = 0;  ///< control thread only
+
+  void build_links() {
+    if (reverse) return;
+    reverse.emplace(csr.reverse());
+    fwd_stamp = std::make_unique<std::atomic<std::uint32_t>[]>(n);
+    bwd_stamp = std::make_unique<std::atomic<std::uint32_t>[]>(n);
+  }
 
   /// Priority order (DESIGN.md §16). Signatures carry vertex IDs until the
   /// switch; from then on they carry priority[v] = π(v), a fixed-seed random
@@ -112,6 +136,45 @@ struct EclState {
   /// π and π⁻¹ for the kernels; null while the order is vertex IDs.
   const vid* priorities() const noexcept { return random_order ? priority.data() : nullptr; }
   const vid* vertices() const noexcept { return random_order ? vertex_of.data() : nullptr; }
+};
+
+/// chase_chain's link source for the solver: a vertex's worklist links are
+/// the CSR edges that pass in_worklist, found by scanning its row and
+/// stopping at a second match. Per-vertex round stamps deduplicate chases
+/// within one round: once a chase has pushed through a link, later movers
+/// on the same chain stop at the first already-walked vertex instead of
+/// re-walking the whole tail (O(chain²) per round on path-heavy meshes).
+/// Skipped links just propagate next round. Rounds are monotone for the
+/// lifetime of a solve, so the zero-fill at allocation is the only reset;
+/// the two directions carry different signature mass through a vertex, so
+/// each has its own stamps.
+struct WorklistLinks {
+  const EclState& st;
+
+  vid successor(vid u) const noexcept { return unique_link(u, st.csr.out_neighbors(u)); }
+  vid predecessor(vid v) const noexcept { return unique_link(v, st.reverse->out_neighbors(v)); }
+  bool claim_forward(vid w, std::uint32_t round) const noexcept {
+    return claim(st.fwd_stamp[w], round);
+  }
+  bool claim_backward(vid w, std::uint32_t round) const noexcept {
+    return claim(st.bwd_stamp[w], round);
+  }
+
+ private:
+  vid unique_link(vid v, std::span<const vid> row) const noexcept {
+    vid link = detail::kNoLink;
+    for (const vid w : row) {
+      if (!st.in_worklist(v, w)) continue;
+      if (link != detail::kNoLink) return detail::kManyLinks;
+      link = w;
+    }
+    return link;
+  }
+  static bool claim(std::atomic<std::uint32_t>& stamp, std::uint32_t round) noexcept {
+    if (stamp.load(std::memory_order_relaxed) == round) return false;
+    stamp.store(round, std::memory_order_relaxed);
+    return true;
+  }
 };
 
 // The per-edge propagation bodies (monotone store dispatch, path
@@ -199,6 +262,12 @@ detail::SigView sig_view(EclState& st) noexcept {
 using detail::for_each_owned;
 using detail::grid_size;
 
+/// Packs a signature pair into one cluster-key word.
+std::uint64_t pack_key(const device::AtomicU32& hi, const device::AtomicU32& lo) noexcept {
+  return static_cast<std::uint64_t>(hi.load(std::memory_order_relaxed)) << 32 |
+         lo.load(std::memory_order_relaxed);
+}
+
 void phase1_init(EclState& st, device::Device& dev, const EclOptions& opts) {
   const std::uint64_t n = st.n;
   // Every re-initialized vertex is stamped with this round, so the first
@@ -211,6 +280,14 @@ void phase1_init(EclState& st, device::Device& dev, const EclOptions& opts) {
         ctx.for_each_chunk(n, [&](std::uint64_t lo, std::uint64_t hi) {
           for (std::uint64_t v = lo; v < hi; ++v) {
             if (st.labels[v] == graph::kInvalidVid) {
+              // Record the cluster key before the reset. The epoch guard
+              // keeps a replayed block (the launch is idempotent) from
+              // recording the signatures it has just reset.
+              if (st.sigs.epoch_of(v) != round) {
+                st.key[v] = pack_key(st.sigs.vin(v), st.sigs.vout(v));
+                if (opts.min_max_signatures)
+                  st.min_key[v] = pack_key(st.sigs.min_in(v), st.sigs.min_out(v));
+              }
               const std::uint32_t p = priority ? priority[v] : static_cast<std::uint32_t>(v);
               st.sigs.vin(v).store(p, std::memory_order_relaxed);
               st.sigs.vout(v).store(p, std::memory_order_relaxed);
@@ -265,14 +342,15 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
   // sparse, so
   // every round keys off the PREVIOUS round's first-sweep active-edge
   // count. The bag is armed (mover inserts live) only below kArmFactor x
-  // the sparse threshold; chases fire only below kChaseDensity. Round 1 is
+  // the sparse threshold; chases fire only below chain_density. Round 1 is
   // always dense, unarmed, and unchased (last_active starts at m): the §10
-  // epoch gate is the densitometer. The incidence index is only
-  // built once the sparse dip persists for a second round: a one-off dip
-  // (circuit5M's single sparse round) must not pay the O(m) build.
+  // epoch gate is the densitometer. Each Phase-2 call goes sparse only
+  // once the dip has lasted two rounds: a one-off dip (circuit5M's single
+  // sparse round) stays dense.
   constexpr double kArmFactor = 4.0;
   std::uint64_t last_active = m;
   std::uint32_t sparse_streak = 0;
+  bool gathered = false;  ///< this call has gone sparse before
   // Arming that never converts into a sparse round is pure insert overhead
   // (circuit5M: the active count plateaus inside the armed band without
   // ever dipping below the sparse threshold). After kFutileArmLimit armed
@@ -285,27 +363,8 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
   // the control thread — at that size the grid barrier costs more than the
   // work (the virtual-GPU analogue of a single-warp cleanup kernel).
   constexpr std::uint64_t kSerialSparseEdges = 8192;
-  // Lazy incidence index over the frozen worklist (vertex -> indices of the
-  // worklist edges touching it) plus per-edge round stamps so the gather
-  // emits each active edge once even when both endpoints moved.
-  std::vector<std::uint64_t> inc_off, inc_edges;
-  std::vector<std::uint32_t> edge_round;
-  std::vector<std::uint64_t> active;
-  const auto build_incidence = [&] {
-    inc_off.assign(static_cast<std::size_t>(st.n) + 1, 0);
-    for (const graph::Edge& e : edges) {
-      ++inc_off[static_cast<std::size_t>(e.src) + 1];
-      ++inc_off[static_cast<std::size_t>(e.dst) + 1];
-    }
-    for (vid v = 0; v < st.n; ++v) inc_off[v + 1] += inc_off[v];
-    inc_edges.resize(2 * m);
-    std::vector<std::uint64_t> cursor(inc_off.begin(), inc_off.end() - 1);
-    for (std::uint64_t i = 0; i < m; ++i) {
-      inc_edges[cursor[edges[i].src]++] = i;
-      inc_edges[cursor[edges[i].dst]++] = i;
-    }
-    edge_round.assign(m, 0);
-  };
+  std::vector<graph::Edge> active;
+  const WorklistLinks links{st};
   for (;;) {
     if (++rounds > budget || watchdog.expired()) {
       watchdog.mark_stalled();
@@ -329,45 +388,33 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
     st.active_bag = armed ? bag : nullptr;
     if (armed) bag->begin_round(r);
 
-    bool chase_now = false;
-    if (static_cast<double>(last_active) < opts.chain_density * static_cast<double>(m)) {
-      if (st.chain_stale) {
-        // A build that found no links stays authoritative until the
-        // worklist shrinks materially (>= 25%): rebuilding a chainless
-        // worklist every outer iteration is O(m) of pure overhead
-        // (circuit5M pays it otherwise).
-        const bool chainless_still = !st.chain.empty() && !st.chain.useful() &&
-                                     m * 4 > st.chain_built_m * 3;
-        if (!chainless_still) {
-          st.chain.build(st.n, edges);
-          st.chain_built_m = m;
-          st.chain_stale = false;
-        }
-      }
-      chase_now = !st.chain_stale && st.chain.useful();
-    }
-
+    const bool chase_now =
+        static_cast<double>(last_active) < opts.chain_density * static_cast<double>(m);
     const bool sparse_ok =
         frontier_known &&
         static_cast<double>(frontier.size()) < opts.hashbag_density * static_cast<double>(m);
     sparse_streak = sparse_ok ? sparse_streak + 1 : 0;
-    const bool sparse = sparse_ok && (sparse_streak >= 2 || !inc_off.empty());
+    const bool sparse = sparse_ok && (sparse_streak >= 2 || gathered);
+    if (sparse || chase_now) st.build_links();
 
     if (sparse) {
-      if (inc_off.empty()) build_incidence();
+      // The worklist edges incident to the movers, each once: a mover's
+      // out-edges, and its in-edges from sources that did not move (a
+      // moved source emits the edge as its out-edge). Movers are exactly
+      // the vertices stamped with the previous round.
+      gathered = true;
       active.clear();
       for (const vid v : frontier) {
-        for (std::uint64_t k = inc_off[v]; k < inc_off[static_cast<std::size_t>(v) + 1]; ++k) {
-          const std::uint64_t i = inc_edges[k];
-          if (edge_round[i] != r) {
-            edge_round[i] = r;
-            active.push_back(i);
-          }
-        }
+        for (const vid w : st.csr.out_neighbors(v))
+          if (st.in_worklist(v, w)) active.push_back({v, w});
+        for (const vid u : st.reverse->out_neighbors(v))
+          if (st.in_worklist(u, v) && st.sigs.epoch_of(u) != r - 1) active.push_back({u, v});
       }
       // Edges the round never had to look at: the same quantity the dense
-      // gate counts as skips.
-      st.edges_skipped.fetch_add(m - active.size(), std::memory_order_relaxed);
+      // gate counts as skips. (A duplicate bag entry repeats its edges, so
+      // the gather can in principle exceed m.)
+      st.edges_skipped.fetch_add(m - std::min<std::uint64_t>(m, active.size()),
+                                 std::memory_order_relaxed);
       ++metrics.frontier_rounds;
       ++metrics.hashbag_rounds;
       ++st.hashbag_rounds;
@@ -382,14 +429,13 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
         do {
           any = false;
           ++iters;
-          for (const std::uint64_t i : active) {
-            const graph::Edge e = edges[i];
+          for (const graph::Edge e : active) {
             ++processed;
             bool moved = detail::propagate_edge(view, e, opts, r);
             if (opts.min_max_signatures)
               moved |= detail::propagate_edge_min(view, e, opts, r);
             if (moved && chase_now) {
-              const detail::ChaseResult cr = detail::chase_chain(view, st.chain, e, opts, r);
+              const detail::ChaseResult cr = detail::chase_chain(view, links, e, opts, r);
               processed += cr.steps;
               if (cr.moved) {
                 ++chains;
@@ -411,7 +457,7 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
         }
       } else {
         const std::uint64_t a = active.size();
-        const std::uint64_t* act = active.data();
+        const graph::Edge* act = active.data();
         dev.launch(
             grid_size(dev, a, opts.persistent_threads),
             [&, r](const BlockContext& ctx) {
@@ -427,14 +473,14 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
                 for_each_owned(ctx, a, [&](std::uint64_t lo, std::uint64_t hi) {
                   if (local_iters == 1) local_assigned += hi - lo;
                   for (std::uint64_t k = lo; k < hi; ++k) {
-                    const graph::Edge e = edges[act[k]];
+                    const graph::Edge e = act[k];
                     ++local_processed;
                     bool moved = detail::propagate_edge(view, e, opts, r);
                     if (opts.min_max_signatures)
                       moved |= detail::propagate_edge_min(view, e, opts, r);
                     if (moved && chase_now) {
                       const detail::ChaseResult cr =
-                          detail::chase_chain(view, st.chain, e, opts, r);
+                          detail::chase_chain(view, links, e, opts, r);
                       local_processed += cr.steps;
                       if (cr.moved) {
                         ++local_chains;
@@ -495,8 +541,7 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
                   // the worklist, walk the chain locally instead of paying a
                   // grid barrier per link.
                   if (moved && chase_now) {
-                    const detail::ChaseResult cr =
-                        detail::chase_chain(view, st.chain, e, opts, r);
+                    const detail::ChaseResult cr = detail::chase_chain(view, links, e, opts, r);
                     local_processed += cr.steps;
                     if (cr.moved) {
                       ++local_chains;
@@ -743,7 +788,7 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
   SccResult result;
   if (n == 0) return result;
 
-  EclState st(g);
+  EclState st(g, opts.min_max_signatures);
   if (dev.fault_active() &&
       (dev.fault().plan().delayed_visibility || dev.fault().plan().lost_update))
     st.fault = &dev.fault();
@@ -840,11 +885,6 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
       take_checkpoint(st, opts, ckpt, result.metrics.outer_iterations, result.metrics);
     phase_timer.reset();
     const double checkpoint_before = result.metrics.checkpoint_seconds;
-    // Chain chasing (§15) walks only CURRENT-worklist edges; mark the
-    // degree-one index stale here so fresh iterations AND resumed ones (a
-    // restored checkpoint replaces the worklist) rebuild it — lazily, on
-    // the first round sparse enough to chase.
-    st.chain_stale = true;
     const bool converged =
         phase2_propagate(st, dev, opts, result.metrics, *watchdog,
                          checkpointing ? &ckpt : nullptr, result.metrics.outer_iterations);

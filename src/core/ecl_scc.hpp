@@ -111,7 +111,7 @@ struct EclOptions {
   /// Bound on one local chase (forward plus backward), keeping per-worker
   /// granularity bounded. Deep meshes routinely saturate a small cap
   /// (mobius-strip chases hit 64 exactly); with per-round chase dedup
-  /// (ChainIndex round stamps) a long chase is walked once per round, so a
+  /// (per-round chase stamps) a long chase is walked once per round, so a
   /// generous cap collapses more rounds without the quadratic re-walk risk
   /// that made small caps necessary.
   std::uint32_t chain_cap = 256;

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -213,55 +212,51 @@ inline bool propagate_edge_min(const SigView& st, graph::Edge e, const EclOption
 // a function of the edge set alone, so executing some updates early (within
 // a round) cannot change it; and because chains never leave the worklist,
 // no Phase-3-removed edge is ever traversed.
+//
+// A chase reads its links from a link source, which provides:
+//   successor(u), predecessor(v)  the one worklist neighbour in that
+//                                 direction, or kNoLink / kManyLinks;
+//   claim_forward(w, round),      false when an earlier chase of this round
+//   claim_backward(w, round)      already walked into w in that direction.
+// The solver's source reads the solve graph's CSR under its cluster keys
+// (core/ecl_scc.cpp); the fleet's shards use ChainIndex below.
 // ---------------------------------------------------------------------------
 
-/// Degree-one successor/predecessor index over an edge worklist. succ[u] is
-/// the worklist successor of u if u has exactly one, else a sentinel;
-/// likewise pred[v]. Rebuilt whenever the worklist changes (each outer
-/// iteration; O(m) with no atomics — build on the control thread or shard
-/// runner between launches).
-struct ChainIndex {
-  /// No worklist edge touches the vertex in this direction.
-  static constexpr vid kNone = graph::kInvalidVid;
-  /// More than one edge does — chase must stop.
-  static constexpr vid kMany = graph::kInvalidVid - 1;
+/// Link sentinels: no worklist edge in this direction, or more than one.
+/// Either way the chase stops.
+inline constexpr vid kNoLink = graph::kInvalidVid;
+inline constexpr vid kManyLinks = graph::kInvalidVid - 1;
 
+/// Degree-one successor/predecessor index over one shard's edge worklist.
+/// succ[u] is the worklist successor of u if u has exactly one, else a
+/// sentinel; likewise pred[v]. Rebuilt whenever the worklist changes (O(m)
+/// with no atomics — build on the shard runner between launches). Shard
+/// sweeps pass round 0, so it keeps no chase stamps and claims every link.
+struct ChainIndex {
   std::vector<vid> succ, pred;
   /// Vertices with exactly one worklist successor or predecessor — the only
   /// places a chase can take a step. Zero on dense graphs: callers then skip
   /// the per-edge chase lookups entirely.
   std::uint64_t links = 0;
-  /// Per-vertex round stamps deduplicating chases within one round: once a
-  /// chase has pushed through a link this round, later movers on the same
-  /// chain stop at the first already-walked vertex instead of re-walking the
-  /// whole tail (which is O(chain²) per round on path-heavy meshes). Skipped
-  /// links just propagate next round — the fixpoint, and hence the labels,
-  /// are unchanged. Rounds are monotone for the lifetime of a solve, so a
-  /// zero-fill at allocation is the only reset ever needed. Separate
-  /// forward/backward stamps: the two walks carry different signature mass
-  /// through a vertex, so one must not suppress the other.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> fwd_stamp, bwd_stamp;
-  std::size_t stamp_size = 0;
 
-  bool empty() const noexcept { return succ.empty(); }
   bool useful() const noexcept { return links != 0; }
 
+  vid successor(vid u) const noexcept { return succ[u]; }
+  vid predecessor(vid v) const noexcept { return pred[v]; }
+  bool claim_forward(vid, std::uint32_t) const noexcept { return true; }
+  bool claim_backward(vid, std::uint32_t) const noexcept { return true; }
+
   void build(std::size_t n, std::span<const graph::Edge> edges) {
-    succ.assign(n, kNone);
-    pred.assign(n, kNone);
-    if (stamp_size != n) {
-      fwd_stamp.reset(new std::atomic<std::uint32_t>[n]());
-      bwd_stamp.reset(new std::atomic<std::uint32_t>[n]());
-      stamp_size = n;
-    }
+    succ.assign(n, kNoLink);
+    pred.assign(n, kNoLink);
     links = 0;
     for (const graph::Edge& e : edges) {
-      succ[e.src] = (succ[e.src] == kNone) ? e.dst : kMany;
-      pred[e.dst] = (pred[e.dst] == kNone) ? e.src : kMany;
+      succ[e.src] = (succ[e.src] == kNoLink) ? e.dst : kManyLinks;
+      pred[e.dst] = (pred[e.dst] == kNoLink) ? e.src : kManyLinks;
     }
     for (std::size_t v = 0; v < n; ++v) {
-      if (succ[v] < kMany) ++links;
-      if (pred[v] < kMany) ++links;
+      if (succ[v] < kManyLinks) ++links;
+      if (pred[v] < kManyLinks) ++links;
     }
   }
 };
@@ -275,14 +270,15 @@ struct ChaseResult {
 /// Chases the single-successor chain forward from e.dst and the
 /// single-predecessor chain backward from e.src, applying the full per-edge
 /// update at each link, until a link stops moving signatures, the chain
-/// branches (kMany), dead-ends (kNone), revisits its start (cycle), another
-/// chase already walked the link this round (round stamps; pass round == 0
-/// to disable, e.g. in the sharded engine's per-shard sweeps), or the
-/// combined budget `opts.chain_cap` is spent. Call after propagate_edge(e)
-/// reported movement. Thread-safe: only monotone stores touch shared state,
-/// and a stamp race at worst duplicates a walk it meant to skip.
-inline ChaseResult chase_chain(const SigView& st, const ChainIndex& chain, graph::Edge e,
-                               const EclOptions& opts, std::uint32_t round) noexcept {
+/// branches or dead-ends (kManyLinks / kNoLink), revisits its start
+/// (cycle), the link source refuses the claim (another chase already walked
+/// the link this round), or the combined budget `opts.chain_cap` is spent.
+/// Call after propagate_edge(e) reported movement. Thread-safe: only
+/// monotone stores touch shared state, and a claim race at worst duplicates
+/// a walk it meant to skip.
+template <typename Links>
+ChaseResult chase_chain(const SigView& st, const Links& links, graph::Edge e,
+                        const EclOptions& opts, std::uint32_t round) noexcept {
   ChaseResult r;
   std::uint32_t budget = opts.chain_cap;
 
@@ -290,12 +286,8 @@ inline ChaseResult chase_chain(const SigView& st, const ChainIndex& chain, graph
   vid u = e.dst;
   const vid fwd_start = u;
   while (budget != 0) {
-    const vid w = chain.succ[u];
-    if (w >= ChainIndex::kMany) break;  // kMany or kNone
-    if (round != 0) {
-      if (chain.fwd_stamp[w].load(std::memory_order_relaxed) == round) break;
-      chain.fwd_stamp[w].store(round, std::memory_order_relaxed);
-    }
+    const vid w = links.successor(u);
+    if (w >= kManyLinks || !links.claim_forward(w, round)) break;
     --budget;
     ++r.steps;
     bool any = propagate_edge(st, {u, w}, opts, round);
@@ -311,12 +303,8 @@ inline ChaseResult chase_chain(const SigView& st, const ChainIndex& chain, graph
   vid v = e.src;
   const vid bwd_start = v;
   while (budget != 0) {
-    const vid w = chain.pred[v];
-    if (w >= ChainIndex::kMany) break;
-    if (round != 0) {
-      if (chain.bwd_stamp[w].load(std::memory_order_relaxed) == round) break;
-      chain.bwd_stamp[w].store(round, std::memory_order_relaxed);
-    }
+    const vid w = links.predecessor(v);
+    if (w >= kManyLinks || !links.claim_backward(w, round)) break;
     --budget;
     ++r.steps;
     bool any = propagate_edge(st, {w, v}, opts, round);

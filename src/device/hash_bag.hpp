@@ -24,7 +24,8 @@
 //    double-queueing a frontier entry;
 //  * dedup is exact while probes stay inside the bounded probe window; a
 //    probe-exhausted insert appends WITHOUT dedup (a duplicate frontier
-//    entry is benign — the edge gather dedups per-edge by round stamp);
+//    entry is benign — the edge gather emits its edges twice, and a
+//    repeated visit of an edge is idempotent);
 //  * an append past list capacity is dropped, counted, and raises a sticky
 //    saturation flag: the round's mover set is incomplete and the caller
 //    must fall back to a dense sweep (then grow() before the next round).

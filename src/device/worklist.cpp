@@ -3,23 +3,22 @@
 namespace ecl::device {
 
 EdgeWorklist::EdgeWorklist(const graph::Digraph& g) {
-  std::vector<graph::Edge> edges;
-  edges.reserve(g.num_edges());
+  allocate(g.num_edges());
+  graph::Edge* out = buffers_[0].get();
   for (graph::vid u = 0; u < g.num_vertices(); ++u)
-    for (graph::vid v : g.out_neighbors(u)) edges.push_back({u, v});
-  init(edges);
+    for (graph::vid v : g.out_neighbors(u)) *out++ = {u, v};
 }
 
-EdgeWorklist::EdgeWorklist(std::span<const graph::Edge> edges) { init(edges); }
+EdgeWorklist::EdgeWorklist(std::span<const graph::Edge> edges) {
+  allocate(edges.size());
+  std::copy(edges.begin(), edges.end(), buffers_[0].get());
+}
 
-void EdgeWorklist::init(std::span<const graph::Edge> edges) {
-  buffers_[0].assign(edges.begin(), edges.end());
-  buffers_[1].resize(edges.size());
-  size_.store(edges.size(), std::memory_order_relaxed);
-  next_size_.store(0, std::memory_order_relaxed);
-  dropped_.store(0, std::memory_order_relaxed);
-  overflow_.store(false, std::memory_order_relaxed);
-  cur_ = 0;
+void EdgeWorklist::allocate(std::size_t capacity) {
+  buffers_[0] = std::make_unique_for_overwrite<graph::Edge[]>(capacity);
+  buffers_[1] = std::make_unique_for_overwrite<graph::Edge[]>(capacity);
+  capacity_ = capacity;
+  size_.store(capacity, std::memory_order_relaxed);
 }
 
 }  // namespace ecl::device

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -37,8 +38,9 @@ class EdgeWorklist {
  public:
   EdgeWorklist() = default;
 
-  /// Fills the current buffer with every edge of g; the spare buffer gets
-  /// the same capacity so Phase 3 can never overflow it (it only shrinks).
+  /// Fills the current buffer with every edge of g, straight from its CSR;
+  /// the spare buffer gets the same capacity so Phase 3 can never overflow
+  /// it (it only shrinks).
   explicit EdgeWorklist(const graph::Digraph& g);
 
   /// Initializes from an explicit edge set.
@@ -46,7 +48,7 @@ class EdgeWorklist {
 
   /// Edges in the current buffer.
   std::span<const graph::Edge> edges() const noexcept {
-    return {buffers_[cur_].data(), size_.load(std::memory_order_acquire)};
+    return {buffers_[cur_].get(), size_.load(std::memory_order_acquire)};
   }
 
   std::size_t size() const noexcept { return size_.load(std::memory_order_acquire); }
@@ -54,7 +56,7 @@ class EdgeWorklist {
 
   /// Capacity of the spare buffer (fixed at construction: Phase 3 only
   /// shrinks the edge set, so a correct kernel can never exceed it).
-  std::size_t capacity() const noexcept { return buffers_[1 - cur_].size(); }
+  std::size_t capacity() const noexcept { return capacity_; }
 
   /// Thread-safe append of a span into the *next* buffer (Phase-3
   /// survivors): one cursor fetch_add for the whole span. An append past
@@ -65,14 +67,13 @@ class EdgeWorklist {
   void push_next_bulk(std::span<const graph::Edge> batch) noexcept {
     if (batch.empty()) return;
     const std::size_t start = next_size_.fetch_add(batch.size(), std::memory_order_relaxed);
-    auto& next = buffers_[1 - cur_];
     std::size_t stored = batch.size();
-    if (start + batch.size() > next.size()) {
+    if (start + batch.size() > capacity_) {
       assert(!"EdgeWorklist::push_next_bulk: append past capacity (double-append?)");
-      stored = start < next.size() ? next.size() - start : 0;
+      stored = start < capacity_ ? capacity_ - start : 0;
       record_drop(batch.size() - stored);
     }
-    std::copy_n(batch.data(), stored, next.data() + start);
+    std::copy_n(batch.data(), stored, buffers_[1 - cur_].get() + start);
   }
 
   /// Chunked reservation handle for one virtual block: survivors are staged
@@ -138,9 +139,8 @@ class EdgeWorklist {
   /// capacity are ignored — impossible for a checkpoint, which snapshots a
   /// buffer of the same capacity. Not thread-safe; control thread only.
   void reset(std::span<const graph::Edge> edges) noexcept {
-    auto& cur = buffers_[cur_];
-    const std::size_t count = std::min(edges.size(), cur.size());
-    std::copy_n(edges.data(), count, cur.data());
+    const std::size_t count = std::min(edges.size(), capacity_);
+    std::copy_n(edges.data(), count, buffers_[cur_].get());
     size_.store(count, std::memory_order_release);
     next_size_.store(0, std::memory_order_relaxed);
     clear_overflow();
@@ -161,14 +161,18 @@ class EdgeWorklist {
   }
 
  private:
-  void init(std::span<const graph::Edge> edges);
+  /// Allocates both buffers for `capacity` edges without initializing them:
+  /// the caller fills the current one, and Phase 3 writes only the spare
+  /// buffer's survivor prefix, so the rest is never touched.
+  void allocate(std::size_t capacity);
 
   void record_drop(std::size_t count) noexcept {
     overflow_.store(true, std::memory_order_relaxed);
     dropped_.fetch_add(count, std::memory_order_relaxed);
   }
 
-  std::vector<graph::Edge> buffers_[2];
+  std::unique_ptr<graph::Edge[]> buffers_[2];
+  std::size_t capacity_ = 0;
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> next_size_{0};
   std::atomic<std::size_t> dropped_{0};

@@ -16,9 +16,13 @@
 // Small graphs rarely reach the adaptive paths on their own, so tuning
 // values force them: chain_density > 1 chases from the first sub-m round,
 // hashbag_density = 1 sends every eligible round down the sparse path, and
-// chain_cap bounds are pinned on the deepest chain family. The hub gate is
-// checked both ways: rmat_10 (out-degree CV 2.72) must take the reorder,
-// a mesh-like family must not.
+// chain_cap bounds are pinned on the deepest chain family. Both paths read
+// the worklist from the CSR through Phase 1's cluster keys (DESIGN.md §15),
+// so one cross forces them together in each worklist regime the keys must
+// reproduce, fault-free and under chaos plans whose replayed Phase-1
+// blocks must not overwrite a key. The hub gate is checked both ways:
+// rmat_10 (out-degree CV 2.72) must take the reorder, a mesh-like family
+// must not.
 //
 // The priority switch (DESIGN.md §16) is checked the same way: on two deep
 // mobius-strip sweep graphs, where vertex-ID order stalls, the run must
@@ -32,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/test_graphs.hpp"
@@ -304,8 +309,8 @@ TEST(SolverDifferential, ChainCapBoundsEveryChase) {
 
 TEST(SolverDifferential, ForcedSparseRoundsMatchTarjanMaxLabels) {
   // hashbag_density = 1.0 sends every eligible round through the sparse
-  // path (any frontier is below 100% of the worklist), so the gather /
-  // incidence machinery itself is exercised, not just the fallback. One
+  // path (any frontier is below 100% of the worklist), so the CSR gather
+  // itself is exercised, not just the fallback. One
   // worker keeps the round count deterministic: with several, a lucky
   // block order can converge these small graphs in the two dense rounds
   // before a sparse streak can start.
@@ -318,6 +323,73 @@ TEST(SolverDifferential, ForcedSparseRoundsMatchTarjanMaxLabels) {
     EXPECT_EQ(r.labels, tarjan_max_labels(family.graph)) << family.name;
     EXPECT_GT(r.metrics.hashbag_rounds, 0u)
         << family.name << ": forced density never took the sparse path";
+  }
+}
+
+/// The three worklist regimes the cluster-key membership rule (DESIGN.md
+/// §15) must reproduce: default, a second key under min_max_signatures,
+/// and completed SCCs' edges kept with remove_scc_edges off.
+std::vector<std::pair<std::string, EclOptions>> membership_modes() {
+  EclOptions forced;
+  forced.hashbag_density = 1.0;  // every eligible round goes sparse
+  forced.chain_density = 2.0;    // every round below m chases
+  EclOptions min_max = forced;
+  min_max.min_max_signatures = true;
+  EclOptions keep_edges = forced;
+  keep_edges.remove_scc_edges = false;
+  return {{"default", forced}, {"min_max", min_max}, {"keep_scc_edges", keep_edges}};
+}
+
+TEST(SolverDifferential, ForcedSparseAndChasePathsMatchTarjanInEveryModeUnderChaos) {
+  // Sparse rounds and chases read the worklist from the CSR through the
+  // cluster keys Phase 1 records. Phase 1 is an idempotent launch, so the
+  // chaos device replays its blocks; a replay must not record the
+  // signatures its first run has just reset.
+  std::vector<NamedGraph> inputs = families();
+  const std::size_t small_families = inputs.size();
+  for (auto& f : chain_families()) inputs.push_back(std::move(f));
+  for (const auto& [mode, opts] : membership_modes()) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      const NamedGraph& family = inputs[i];
+      const std::vector<vid> oracle = tarjan_max_labels(family.graph);
+      for (std::uint64_t seed = 0; seed <= 16; ++seed) {
+        const FaultPlan plan = seed == 0 ? FaultPlan{} : FaultPlan::from_seed(seed);
+        device::Device dev(solver_profile(plan), /*workers=*/seed == 0 ? 1 : 4);
+        const SccResult r = scc::ecl_scc(family.graph, dev, opts);
+        const std::string where = family.name + " " + mode + " " + plan.describe();
+        if (opts.min_max_signatures)
+          EXPECT_TRUE(scc::same_partition(r.labels, oracle)) << where;
+        else
+          EXPECT_EQ(r.labels, oracle) << where;
+        if (seed != 0) continue;
+        // Fault-free, one worker: the forced paths must really have run.
+        // Every input chases; the six small families also go sparse (a
+        // lone chase can settle a chain family before a sparse streak).
+        EXPECT_GT(r.metrics.chains_collapsed, 0u) << where;
+        if (i < small_families) {
+          EXPECT_GT(r.metrics.hashbag_rounds, 0u) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SolverDifferential, ForcedSparseAndChasePathsSurviveResume) {
+  // Cluster keys are not snapshotted: every restore lands in the iteration
+  // whose Phase 1 recorded the live keys. One sweep per Phase-2 call makes
+  // every iteration that needs a second sweep resume from the snapshot one
+  // sweep back.
+  for (const auto& family : switching_families()) {
+    EclOptions opts = membership_modes().front().second;
+    opts.watchdog.max_phase2_rounds = 1;
+    opts.checkpoint.sweep_interval = 1;
+    opts.checkpoint.max_resumes = 1'000'000;
+    device::Device dev(solver_profile(), /*workers=*/4);
+    const SccResult r = scc::ecl_scc(family.graph, dev, opts);
+    ASSERT_TRUE(r.ok()) << family.name << ": " << r.error.message;
+    EXPECT_GE(r.metrics.resumes, 1u) << family.name;
+    EXPECT_FALSE(r.metrics.serial_fallback) << family.name;
+    EXPECT_EQ(r.labels, tarjan_max_labels(family.graph)) << family.name;
   }
 }
 
