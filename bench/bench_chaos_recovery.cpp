@@ -62,6 +62,10 @@ using graph::vid;
 constexpr double kRecoveryRatio = 0.5;   // resume mean <= ratio * fallback mean
 constexpr std::size_t kFamiliesRequired = 2;
 constexpr double kOverheadLimit = 0.05;  // certifier <= 5% of the solver run
+// Probe runs per candidate burst start. Near the end of a run a start can
+// land 1 time in 3 (er_n40000 start 18, rmat_s15 start 15); such a start
+// wins a majority of 3 probes about a quarter of the time, of 12 under 7%.
+constexpr std::size_t kProbeRuns = 12;
 
 struct Family {
   std::string name;
@@ -174,8 +178,9 @@ Containment run_containment(bool smoke) {
 // Phase-2 budget trips during the burst. Each side's cost is its RECOVERY
 // time — from the first fault detection back to converged labels:
 //
-//  * resume   — restore the last checkpoint, wait out the burst with
-//    bounded replays, finish the tail of the run (small pruned worklist).
+//  * resume   — resume Phase 2 from the live signatures, wait out the
+//    burst with bounded resumes, finish the tail of the run (small pruned
+//    worklist).
 //    SccMetrics::recovery_seconds measures exactly this span.
 //  * fallback — the pre-§12 escalation run_resilient used: the trip
 //    discards the run (StallPolicy::kReturnError; its recovery_seconds
@@ -216,8 +221,7 @@ scc::EclOptions resume_options(std::uint64_t budget) {
   scc::EclOptions o = recovery_base_options();
   o.watchdog.max_phase2_rounds = budget;
   o.checkpoint.enabled = true;
-  o.checkpoint.sweep_interval = 1;  // snapshot every quiescent sweep: minimal replay
-  o.checkpoint.max_resumes = 6;     // enough replays to outlast the burst window
+  o.checkpoint.max_resumes = 6;  // enough resumes to outlast the burst window
   return o;
 }
 
@@ -315,10 +319,16 @@ RecoveryRow run_recovery_family(const Family& fam, std::size_t runs) {
 
   // Place the burst as late as possible while still overlapping a live
   // Phase-2 fixpoint (a window over only detect/remove launches never
-  // spins, so nothing trips): probe from the back.
+  // spins, so nothing trips): probe from the back. Benign pool races shift
+  // launch ids, so a start can land once by luck; it is accepted only when
+  // a majority of kProbeRuns probe runs land, the bar the measured runs
+  // must clear below.
   for (const double frac : {0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.55, 0.4, 0.25}) {
     const std::uint64_t start = static_cast<std::uint64_t>(frac * static_cast<double>(row.launches));
-    if (measure_resume(fam, oracle, burst_plan(start, window), max_budget) >= 0) {
+    std::size_t landed = 0;
+    for (std::size_t i = 0; i < kProbeRuns && landed * 2 <= kProbeRuns; ++i)
+      if (measure_resume(fam, oracle, burst_plan(start, window), max_budget) >= 0) ++landed;
+    if (landed * 2 > kProbeRuns) {
       row.window_start = start;
       row.valid = true;
       break;

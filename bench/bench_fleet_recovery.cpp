@@ -143,7 +143,7 @@ fleet::ShardedOptions failover_options(std::uint64_t budget) {
   fleet::ShardedOptions o;
   o.shards = kShards;
   o.certify = true;
-  o.checkpoint.sweep_interval = 1;  // snapshot every moving exchange: minimal replay
+  o.checkpoint_exchanges = 1;  // snapshot every moving exchange: minimal replay
   o.ecl.watchdog.max_phase2_rounds = budget;
   return o;
 }

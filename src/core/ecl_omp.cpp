@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 
 #include "graph/condensation.hpp"
@@ -26,6 +27,21 @@ std::uint32_t load_relaxed(const std::uint32_t& slot) noexcept {
   return std::atomic_ref<const std::uint32_t>(slot).load(std::memory_order_relaxed);
 }
 
+/// Sets the OpenMP thread count for one run (0 keeps it) and restores the
+/// previous count on every exit, thrown ones included.
+class ThreadCountScope {
+ public:
+  explicit ThreadCountScope(unsigned threads) : saved_(omp_get_max_threads()) {
+    if (threads > 0) omp_set_num_threads(static_cast<int>(threads));
+  }
+  ~ThreadCountScope() { omp_set_num_threads(saved_); }
+  ThreadCountScope(const ThreadCountScope&) = delete;
+  ThreadCountScope& operator=(const ThreadCountScope&) = delete;
+
+ private:
+  int saved_;
+};
+
 }  // namespace
 
 SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
@@ -33,8 +49,11 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
   SccResult result;
   if (n == 0) return result;
 
-  const int saved_threads = omp_get_max_threads();
-  if (opts.num_threads > 0) omp_set_num_threads(static_cast<int>(opts.num_threads));
+  const ThreadCountScope threads(opts.num_threads);
+  const bool has_deadline = opts.deadline != std::chrono::steady_clock::time_point{};
+  const auto deadline_passed = [&] {
+    return has_deadline && std::chrono::steady_clock::now() > opts.deadline;
+  };
 
   std::vector<graph::Edge> edges;
   edges.reserve(g.num_edges());
@@ -97,6 +116,11 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
   while (labeled < n) {
     if (++result.metrics.outer_iterations > guard)
       throw std::logic_error("ecl_omp: outer loop exceeded iteration guard (internal bug)");
+    if (deadline_passed()) {
+      result.error = {SccStatus::kDeadlineExceeded,
+                      "ecl_omp: request deadline expired between iterations"};
+      break;
+    }
 
     // Phase 1: initialize signatures of unlabeled vertices.
     ++round;
@@ -113,6 +137,7 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
     // Phase 2: propagate maxima to a fixed point.
     bool updated = true;
     while (updated) {
+      if (deadline_passed()) break;
       updated = false;
       ++result.metrics.propagation_rounds;
       const std::uint32_t r = ++round;
@@ -168,6 +193,11 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
       result.metrics.chain_steps += steps;
       result.metrics.max_chain_len = std::max(result.metrics.max_chain_len, longest);
     }
+    if (updated) {  // the deadline cut the fixpoint short
+      result.error = {SccStatus::kDeadlineExceeded,
+                      "ecl_omp: request deadline expired mid-fixpoint"};
+      break;
+    }
 
     // Detect: vin == vout identifies the component (§3.2.1).
     std::uint64_t found = 0;
@@ -198,11 +228,11 @@ SccResult ecl_omp(const Digraph& g, const EclOmpOptions& opts) {
     next_edges.resize(std::max(next_edges.size(), new_size));
   }
 
-  if (opts.num_threads > 0) omp_set_num_threads(saved_threads);
-
   result.labels = std::move(labels);
-  std::vector<vid> dense(result.labels.begin(), result.labels.end());
-  result.num_components = graph::normalize_labels(dense);
+  if (result.ok()) {
+    std::vector<vid> dense(result.labels.begin(), result.labels.end());
+    result.num_components = graph::normalize_labels(dense);
+  }
   return result;
 }
 

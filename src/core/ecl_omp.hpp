@@ -13,6 +13,8 @@
 // it serves the test suite as a second, independently coded implementation
 // of the paper's contribution.
 
+#include <chrono>
+
 #include "core/result.hpp"
 
 namespace ecl::scc {
@@ -22,6 +24,11 @@ struct EclOmpOptions {
   bool path_compression = true;
   bool remove_scc_edges = true;
   std::uint32_t chain_cap = 64;  ///< bound on one local chase
+  /// Absolute wall-clock deadline, checked before each outer iteration and
+  /// each Phase-2 round; the default (epoch) means none. Past it the run
+  /// returns SccStatus::kDeadlineExceeded with partial labels (unlabeled
+  /// vertices hold graph::kInvalidVid) and num_components 0.
+  std::chrono::steady_clock::time_point deadline{};
 };
 
 /// Runs ECL-SCC on the CPU. Labels are the max vertex ID per component.

@@ -125,13 +125,11 @@ struct EclState {
   std::vector<vid> priority, vertex_of;
   bool random_order = false;
 
-  void set_random_order(bool on) {
-    if (on && priority.empty()) {
-      Rng rng(kPrioritySeed);
-      priority = graph::random_permutation(n, rng);
-      vertex_of = graph::invert_permutation(priority);
-    }
-    random_order = on;
+  void switch_to_random_order() {
+    Rng rng(kPrioritySeed);
+    priority = graph::random_permutation(n, rng);
+    vertex_of = graph::invert_permutation(priority);
+    random_order = true;
   }
   /// π and π⁻¹ for the kernels; null while the order is vertex IDs.
   const vid* priorities() const noexcept { return random_order ? priority.data() : nullptr; }
@@ -184,70 +182,44 @@ struct WorklistLinks {
 
 // --- Checkpointed resume (DESIGN.md §12) -----------------------------------
 //
-// Snapshots are taken only on the control thread at grid-barrier quiescent
-// points (after a launch returns, before the next one), so signatures,
-// labels, and the worklist are mutually consistent. The fixpoint is
-// monotone, so replaying Phase 2 from any such snapshot reaches the same
-// labeling an uninterrupted run would.
+// Within an outer iteration every signature lies between its Phase-1 value
+// and the iteration's fixpoint at each grid barrier, under every fault
+// axis: a deferred or lost store only keeps an older value, replayed
+// launches are idempotent, and a watchdog cut leaves monotone stores. So
+// the live signatures are always a legal restart state and are never
+// copied. The one snapshot per iteration, taken after Phase 1, keeps only
+// what detection and Phase 3 change: the labels, and a mark of the
+// worklist buffer (Phase 3 writes only the spare one). Every restore lands
+// in the snapshot's own iteration, so the cluster keys and the priority
+// order it sees are the live ones.
 
-/// A checkpoint slot plus the sweep count accumulated since it was taken
-/// (the work a resume replays — reported as SccMetrics::rounds_replayed).
-struct CheckpointState {
-  FixpointCheckpoint snap;
-  std::uint64_t sweeps_since = 0;
+struct FixpointCheckpoint {
+  std::vector<vid> labels;  ///< one buffer, reused by every snapshot of the solve
+  std::uint64_t labeled = 0;
+  EdgeWorklist::Mark worklist;
 };
 
-void take_checkpoint(EclState& st, const EclOptions& opts, CheckpointState& ckpt,
-                     std::uint64_t outer_iteration, SccMetrics& metrics) {
+void take_checkpoint(const EclState& st, FixpointCheckpoint& ckpt, SccMetrics& metrics) {
   const Timer timer;
-  FixpointCheckpoint& c = ckpt.snap;
-  c.valid = true;
-  c.outer_iteration = outer_iteration;
-  c.random_priority = st.random_order;
-  c.labels = st.labels;
-  const auto edges = st.worklist.edges();
-  c.worklist.assign(edges.begin(), edges.end());
-  const vid n = st.n;
-  c.vin.resize(n);
-  c.vout.resize(n);
-  if (opts.min_max_signatures) {
-    c.min_in.resize(n);
-    c.min_out.resize(n);
-  }
-  for (vid v = 0; v < n; ++v) {
-    c.vin[v] = st.sigs.vin(v).load(std::memory_order_relaxed);
-    c.vout[v] = st.sigs.vout(v).load(std::memory_order_relaxed);
-    if (opts.min_max_signatures) {
-      c.min_in[v] = st.sigs.min_in(v).load(std::memory_order_relaxed);
-      c.min_out[v] = st.sigs.min_out(v).load(std::memory_order_relaxed);
-    }
-  }
-  ckpt.sweeps_since = 0;
+  ckpt.labels = st.labels;
+  ckpt.labeled = st.labeled.load(std::memory_order_relaxed);
+  ckpt.worklist = st.worklist.mark();
   ++metrics.checkpoints_taken;
   metrics.checkpoint_seconds += timer.seconds();
 }
 
-/// Restores the snapshot into the live state. Every vertex epoch is stamped
-/// with the CURRENT round so the next sweep treats the whole worklist as
-/// active under frontier gating (the snapshot predates the current clock).
-void restore_checkpoint(EclState& st, const EclOptions& opts, const CheckpointState& ckpt) {
-  const FixpointCheckpoint& c = ckpt.snap;
-  st.set_random_order(c.random_priority);
-  st.labels = c.labels;
-  st.worklist.reset(c.worklist);
-  const vid n = st.n;
-  std::uint64_t labeled = 0;
-  for (vid v = 0; v < n; ++v) {
-    st.sigs.vin(v).store(c.vin[v], std::memory_order_relaxed);
-    st.sigs.vout(v).store(c.vout[v], std::memory_order_relaxed);
-    if (opts.min_max_signatures) {
-      st.sigs.min_in(v).store(c.min_in[v], std::memory_order_relaxed);
-      st.sigs.min_out(v).store(c.min_out[v], std::memory_order_relaxed);
-    }
-    st.sigs.epoch(v).store(st.round, std::memory_order_relaxed);
-    if (st.labels[v] != graph::kInvalidVid) ++labeled;
-  }
-  st.labeled.store(labeled, std::memory_order_relaxed);
+/// Rolls detection and Phase 3 back to the snapshot; the signatures stay.
+void restore_checkpoint(EclState& st, const FixpointCheckpoint& ckpt) {
+  st.labels = ckpt.labels;
+  st.labeled.store(ckpt.labeled, std::memory_order_relaxed);
+  st.worklist.rewind(ckpt.worklist);
+}
+
+/// Prepares Phase 2 to resume from the live signatures: every vertex epoch
+/// is stamped with the CURRENT round, so the next sweep treats the whole
+/// worklist as active under frontier gating.
+void restamp_epochs(EclState& st) {
+  for (vid v = 0; v < st.n; ++v) st.sigs.epoch(v).store(st.round, std::memory_order_relaxed);
   st.changed.store(0, std::memory_order_relaxed);
 }
 
@@ -306,14 +278,11 @@ void phase1_init(EclState& st, device::Device& dev, const EclOptions& opts) {
 }
 
 /// Runs the Phase-2 fixpoint. Returns false if the watchdog aborted it
-/// (sweep budget exhausted or wall-clock expiry): signatures are then
-/// unreliable and the caller must not label from them — but the last
-/// checkpoint (if `ckpt` is non-null, snapshotted every
-/// checkpoint.sweep_interval sweeps at the grid barrier) remains a sound
-/// restart state.
+/// (sweep budget exhausted or wall-clock expiry): signatures are then short
+/// of the fixpoint and the caller must not label from them — but they
+/// remain a sound restart state for another Phase-2 call.
 bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
-                      SccMetrics& metrics, FixpointWatchdog& watchdog, CheckpointState* ckpt,
-                      std::uint64_t outer_iteration) {
+                      SccMetrics& metrics, FixpointWatchdog& watchdog) {
   const auto edges = st.worklist.edges();
   const std::uint64_t m = edges.size();
   if (m == 0) return true;
@@ -333,9 +302,8 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
   device::HashBag* const bag = &*st.bag_store;
   st.active_bag = nullptr;
   std::vector<vid> frontier;
-  // False forces a dense round: at entry (Phase 1 moved everything), after
-  // bag saturation, and implicitly after a checkpoint resume (phase 2 is
-  // re-entered fresh).
+  // False forces a dense round: at entry (Phase 1 or a resume stamped every
+  // vertex) and after bag saturation.
   bool frontier_known = false;
   // Round-level adaptivity (§15): the bag and the chaser pay per-store /
   // per-edge overhead that only amortizes once the active frontier is
@@ -609,17 +577,6 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
       futile_arms = paid_off ? 0 : futile_arms + 1;
     }
     if (!sweep_again) break;
-
-    // Another sweep is coming: this grid barrier is a quiescent point, so
-    // snapshot here if the cadence is due. Signatures mid-Phase-2 are a
-    // legal restart state (monotone fixpoint); labels and the worklist are
-    // frozen until Phase 3, so they are consistent with the signatures.
-    if (ckpt) {
-      ++ckpt->sweeps_since;
-      if (opts.checkpoint.sweep_interval > 0 &&
-          ckpt->sweeps_since >= opts.checkpoint.sweep_interval)
-        take_checkpoint(st, opts, *ckpt, outer_iteration, metrics);
-    }
   }
   st.active_bag = nullptr;  // storage persists in EclState; inserts stop here
   return true;
@@ -802,9 +759,9 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
   std::optional<FixpointWatchdog> watchdog;
   watchdog.emplace(opts.watchdog, n);
 
-  // Recovery ladder rung 1 (DESIGN.md §12): on a stall or overflow, restore
-  // the last quiescent snapshot and replay, at most max_resumes times.
-  CheckpointState ckpt;
+  // Recovery ladder rung 1 (DESIGN.md §12): on a stall or overflow, resume
+  // from the live signatures, at most max_resumes times.
+  FixpointCheckpoint ckpt;
   const bool checkpointing = opts.checkpoint.enabled;
   // The priority switch (see kSwitchFromIteration) is skipped under
   // min_max_signatures, whose min-side labels name by minimum member, and
@@ -815,7 +772,7 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
   // twice), and the progress of the last one.
   std::uint64_t finished = 0, last_gained = 0, last_unlabeled = 0;
   unsigned resumes_left = checkpointing ? opts.checkpoint.max_resumes : 0;
-  bool skip_phase1 = false;  // set on resume: Phase 1 would reset the restored signatures
+  bool skip_phase1 = false;  // set on resume: Phase 1 would reset the live signatures
   Timer run_timer;
   double first_trip_seconds = -1.0;
   std::uint64_t dropped_edges_total = 0;
@@ -823,18 +780,22 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
   auto note_trip = [&] {
     if (first_trip_seconds < 0) first_trip_seconds = run_timer.seconds();
   };
-  // Restores the last checkpoint and re-arms the watchdog. Returns false
-  // when the ladder rung is exhausted (no snapshot, no resumes left, or the
-  // absolute deadline has expired — replaying would only burn the budget).
-  auto try_resume = [&]() -> bool {
-    if (!ckpt.snap.valid || resumes_left == 0) return false;
-    if (watchdog->deadline_expired()) return false;
+  // Re-enters Phase 2 of the current iteration from the live signatures
+  // under a re-armed watchdog. A Phase-2 trip resumes in place; a trip
+  // after Phase 3 (`rewind`) first rolls detection and Phase 3 back to the
+  // iteration's snapshot. Nothing is discarded, so no sweep is replayed.
+  // Returns false when the ladder rung is exhausted (no resumes left, or
+  // the absolute deadline has expired — resuming would only burn the
+  // budget).
+  auto try_resume = [&](bool rewind) -> bool {
+    if (resumes_left == 0 || watchdog->deadline_expired()) return false;
     --resumes_left;
     ++result.metrics.resumes;
-    result.metrics.rounds_replayed += ckpt.sweeps_since;
-    ckpt.sweeps_since = 0;
-    dropped_edges_total += st.worklist.dropped_edges();
-    restore_checkpoint(st, opts, ckpt);
+    if (rewind) {
+      dropped_edges_total += st.worklist.dropped_edges();
+      restore_checkpoint(st, ckpt);
+    }
+    restamp_epochs(st);
     skip_phase1 = true;
     watchdog.emplace(opts.watchdog, n);
     return true;
@@ -858,10 +819,10 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
     const std::uint64_t labeled_at_start = st.labeled.load(std::memory_order_relaxed);
     Timer phase_timer;
     if (skip_phase1) {
-      // Resumed: the restored signatures ARE the phase-1-initialized state
-      // of the snapshot's iteration (possibly advanced by later sweeps);
-      // re-running Phase 1 would reset every unlabeled signature to self
-      // and discard the checkpointed propagation progress.
+      // Resumed: the live signatures lie between this iteration's Phase-1
+      // values and its fixpoint; re-running Phase 1 would reset every
+      // unlabeled signature and discard that progress. The snapshot taken
+      // after this iteration's Phase 1 still holds.
       skip_phase1 = false;
     } else {
       // Switching only here is sound: Phase 1 re-initializes every
@@ -869,33 +830,23 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
       // are never read again (no worklist edge touches them).
       if (may_switch && !st.random_order &&
           priority_switch_due(finished, last_gained, last_unlabeled)) {
-        st.set_random_order(true);
+        st.switch_to_random_order();
         result.metrics.priority_switch_iteration = result.metrics.outer_iterations;
       }
       phase1_init(st, dev, opts);
+      result.metrics.phase1_seconds += phase_timer.seconds();
+      // Snapshot AFTER Phase 1, the iteration's start: labels and worklist
+      // are what this iteration's detection and Phase 3 will change.
+      if (checkpointing) take_checkpoint(st, ckpt, result.metrics);
     }
-    result.metrics.phase1_seconds += phase_timer.seconds();
-    // Outer-boundary snapshot, AFTER Phase 1: labels and worklist are at
-    // their iteration-start values and signatures are freshly initialized,
-    // so restoring here and skipping Phase 1 replays this iteration
-    // exactly. (Snapshotting before Phase 1 would capture the PREVIOUS
-    // iteration's converged signatures, from which Phase 2 would trivially
-    // re-converge with no new labels — an instant stall.)
-    if (checkpointing)
-      take_checkpoint(st, opts, ckpt, result.metrics.outer_iterations, result.metrics);
     phase_timer.reset();
-    const double checkpoint_before = result.metrics.checkpoint_seconds;
-    const bool converged =
-        phase2_propagate(st, dev, opts, result.metrics, *watchdog,
-                         checkpointing ? &ckpt : nullptr, result.metrics.outer_iterations);
-    // In-phase snapshots are timed on their own, not as Phase 2.
-    result.metrics.phase2_seconds +=
-        phase_timer.seconds() - (result.metrics.checkpoint_seconds - checkpoint_before);
+    const bool converged = phase2_propagate(st, dev, opts, result.metrics, *watchdog);
+    result.metrics.phase2_seconds += phase_timer.seconds();
     if (!converged) {
       ++result.metrics.watchdog_trips;
       note_trip();
       const bool deadline = watchdog->deadline_expired();
-      if (!deadline && try_resume()) continue;
+      if (!deadline && try_resume(/*rewind=*/false)) continue;
       // A deadline trip aborts the same way a stall does but is reported
       // distinctly: the run was cancelled, not necessarily stuck.
       result.error =
@@ -916,7 +867,7 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
       // further propagation over the truncated edge set would not be.
       note_trip();
       const std::uint64_t dropped = st.worklist.dropped_edges();
-      if (try_resume()) continue;
+      if (try_resume(/*rewind=*/true)) continue;
       result.error = {SccStatus::kWorklistOverflow,
                       "ecl_scc: edge worklist overflowed during phase 3 (" +
                           std::to_string(dropped) + " edges dropped)"};
@@ -926,7 +877,7 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
                                     st.worklist.size())) {
       ++result.metrics.watchdog_trips;
       note_trip();
-      if (try_resume()) continue;
+      if (try_resume(/*rewind=*/true)) continue;
       result.error = {SccStatus::kStalled,
                       "ecl_scc: no new labels and no worklist shrinkage for " +
                           std::to_string(opts.watchdog.stall_rounds) + " iterations"};

@@ -36,44 +36,18 @@
 namespace ecl::scc {
 
 /// Checkpointed-resume policy (DESIGN.md §12). ECL-SCC's fixpoint is
-/// monotone — signatures only move toward the fixed point — so ANY
-/// quiescent snapshot (labels + signatures + worklist, taken at a grid
-/// barrier) is a legal restart state: resuming propagation from it
-/// converges to the same labeling as an uninterrupted run. Checkpoints let
-/// a watchdog trip or worklist overflow replay recent work instead of
-/// discarding the whole run.
+/// monotone — signatures only move toward the fixed point — so the live
+/// state at any grid barrier is a legal restart state: resuming
+/// propagation from it converges to the same labeling as an uninterrupted
+/// run. A watchdog trip or worklist overflow resumes instead of discarding
+/// the whole run.
 struct CheckpointConfig {
-  /// Master switch. Off = the pre-§12 behavior (one-shot run, no replay).
+  /// Master switch. Off = the pre-§12 behavior (one-shot run, no resume).
   bool enabled = true;
-  /// Snapshot cadence inside Phase 2, in propagation sweeps. A snapshot is
-  /// also taken at every outer-iteration boundary (label/worklist
-  /// quiescent points). Smaller = less work replayed on a trip, more
-  /// snapshot copies on the happy path.
-  std::uint64_t sweep_interval = 32;
-  /// Bounded recovery ladder rung 1: at most this many replays from the
-  /// last checkpoint per run before the error escalates (rung 2 = fresh
-  /// rerun, rung 3 = serial Tarjan; see core/registry.hpp).
+  /// Bounded recovery ladder rung 1: at most this many resumes per run
+  /// before the error escalates (rung 2 = fresh rerun, rung 3 = serial
+  /// Tarjan; see core/registry.hpp).
   unsigned max_resumes = 2;
-};
-
-/// One quiescent-state snapshot of a running ECL-SCC fixpoint. Restoring
-/// it and re-entering Phase 2 (skipping Phase 1, which would reset the
-/// signatures) preserves all progress up to the snapshot.
-struct FixpointCheckpoint {
-  bool valid = false;
-  std::uint64_t outer_iteration = 0;  ///< outer loop trips completed at snapshot
-  /// The signatures carry the random priority order π, not vertex IDs
-  /// (DESIGN.md §16); a restore re-establishes the order they were taken in.
-  bool random_priority = false;
-  std::vector<vid> labels;
-  std::vector<graph::Edge> worklist;
-  /// Signature arrays. Snapshotting labels alone would be unsound: under
-  /// min_max_signatures a re-initialized min signature (vertex ID) can be
-  /// LARGER than the checkpointed one, and a zero is a winning false value
-  /// for min-propagation — so the full signature state travels with the
-  /// checkpoint.
-  std::vector<std::uint32_t> vin, vout;
-  std::vector<std::uint32_t> min_in, min_out;  ///< empty unless 4-signature mode
 };
 
 /// What ecl_scc does when the fixpoint watchdog trips, the worklist
@@ -137,8 +111,8 @@ struct EclOptions {
   WatchdogConfig watchdog = WatchdogConfig::defaults();
   /// Degradation behavior on watchdog trip / overflow / guard.
   StallPolicy stall_policy = StallPolicy::kSerialFallback;
-  /// Checkpointed resume (DESIGN.md §12): snapshot cadence and the bounded
-  /// replay count attempted before a trip escalates to stall_policy.
+  /// Checkpointed resume (DESIGN.md §12): the bounded resume count
+  /// attempted before a trip escalates to stall_policy.
   CheckpointConfig checkpoint;
 };
 

@@ -259,12 +259,16 @@ SccResult run_with_deadline(const std::string& name, const Digraph& g,
   (void)find_algorithm(name);  // unknown name: throws (a caller bug, not a fault)
   SccResult result;
   try {
-    if (name == "ecl-a100" || name == "ecl-titanv") {
-      EclOptions opts;
+    if (name == "ecl-a100" || name == "ecl-titanv" || name == "ecl-loadbalance") {
+      EclOptions opts = name == "ecl-loadbalance" ? dense_sweep_options() : EclOptions{};
       opts.watchdog.deadline = deadline;
       opts.stall_policy = StallPolicy::kReturnError;
       result = ecl_scc(g, dev ? *dev : (name == "ecl-titanv" ? titanv_device() : shared_device()),
                        opts);
+    } else if (name == "ecl-omp") {
+      EclOmpOptions opts;
+      opts.deadline = deadline;
+      result = ecl_omp(g, opts);
     } else if (dev) {
       result = run_algorithm_on(name, g, *dev);
     } else {

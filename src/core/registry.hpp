@@ -64,11 +64,12 @@ SccResult run_resilient_on(const std::string& name, const Digraph& g, device::De
                            const Digraph* reverse_hint = nullptr);
 
 /// Runs the named configuration under an absolute wall-clock deadline — the
-/// entry point of the request pipeline (src/service). ECL-SCC
-/// configurations get the deadline plumbed into their fixpoint watchdog
-/// (cancelled mid-fixpoint, StallPolicy::kReturnError so no hidden serial
-/// fallback eats the remaining budget); configurations without a watchdog
-/// run to completion and are post-checked. In every case a result that
+/// entry point of the request pipeline (src/service). The four ECL-SCC
+/// configurations get the deadline plumbed into their fixpoint loops
+/// (cancelled between Phase-2 rounds; the device solver under
+/// StallPolicy::kReturnError so no hidden serial fallback eats the
+/// remaining budget); the other configurations run to completion and are
+/// post-checked. In every case a result that
 /// finished after the deadline carries SccStatus::kDeadlineExceeded, so a
 /// caller that honors the error never serves a deadline-violating answer.
 /// Thrown exceptions are converted to SccStatus::kException; unknown names

@@ -109,10 +109,11 @@ struct SccMetrics {
   std::uint64_t fallback_vertices = 0;  ///< residual size handed to the fallback
   std::uint64_t watchdog_trips = 0;     ///< stalls detected by the watchdog
 
-  /// Self-healing accounting (DESIGN.md §12): quiescent-round checkpoints
-  /// taken, watchdog/overflow trips recovered by replaying from the last
-  /// checkpoint, and the Phase-2 sweeps that were discarded at those
-  /// replay points (work re-done because it postdated the snapshot).
+  /// Self-healing accounting (DESIGN.md §12, §14): checkpoints taken,
+  /// watchdog/overflow trips recovered by resuming, and the Phase-2 sweeps
+  /// a restore discarded (work re-done because it postdated the snapshot;
+  /// only the fleet's restores discard any, the single-device solver
+  /// resumes from the live signatures).
   std::uint64_t checkpoints_taken = 0;
   std::uint64_t resumes = 0;
   std::uint64_t rounds_replayed = 0;

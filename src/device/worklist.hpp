@@ -132,12 +132,33 @@ class EdgeWorklist {
     return dropped_.load(std::memory_order_acquire);
   }
 
-  /// Rewinds the worklist to an explicit edge set (checkpoint restore,
-  /// DESIGN.md §12): the current buffer is overwritten with `edges`, the
-  /// next-buffer cursor is reset, and the overflow record is cleared (the
-  /// restored state predates whatever overflowed). Edges beyond the fixed
-  /// capacity are ignored — impossible for a checkpoint, which snapshots a
-  /// buffer of the same capacity. Not thread-safe; control thread only.
+  /// The current buffer and its size: a copy-free checkpoint of the edge
+  /// set (DESIGN.md §12).
+  struct Mark {
+    int buffer = 0;
+    std::size_t size = 0;
+  };
+  Mark mark() const noexcept { return {cur_, size()}; }
+
+  /// Makes the marked buffer current again, resets the next-buffer cursor
+  /// and clears the overflow record (the restored state predates whatever
+  /// overflowed). Appends write only the spare buffer, so the marked edges
+  /// stay intact until the appends that follow the next swap_buffers():
+  /// rewind at most one swap after the mark. Not thread-safe; control
+  /// thread only.
+  void rewind(Mark m) noexcept {
+    cur_ = m.buffer;
+    size_.store(m.size, std::memory_order_release);
+    next_size_.store(0, std::memory_order_relaxed);
+    clear_overflow();
+  }
+
+  /// Rewinds the worklist to an explicit edge set (the fleet's checkpoint
+  /// restore, DESIGN.md §14): the current buffer is overwritten with
+  /// `edges`, the next-buffer cursor is reset, and the overflow record is
+  /// cleared. Edges beyond the fixed capacity are ignored — impossible for
+  /// a checkpoint, which snapshots a buffer of the same capacity. Not
+  /// thread-safe; control thread only.
   void reset(std::span<const graph::Edge> edges) noexcept {
     const std::size_t count = std::min(edges.size(), capacity_);
     std::copy_n(edges.data(), count, buffers_[cur_].get());

@@ -697,7 +697,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
         // The exchange barrier is the coordinated checkpoint cut: all
         // kernels joined, replicas owned by this thread alone.
         if (moved && opts.checkpoint.enabled &&
-            rounds_since_ckpt >= std::max<std::uint64_t>(1, opts.checkpoint.sweep_interval))
+            rounds_since_ckpt >= std::max<std::uint64_t>(1, opts.checkpoint_exchanges))
           take_checkpoint();
       }
       if (!moved) break;

@@ -88,13 +88,16 @@ struct ShardedOptions {
   /// Recovery ladder rung 2: fresh sharded reruns attempted (each fully
   /// certified) before falling back to serial Tarjan.
   unsigned fresh_reruns = 1;
-  /// Fleet checkpointing at exchange barriers. `sweep_interval` counts
-  /// EXCHANGES here (one per lockstep sweep round); a checkpoint is also
-  /// taken at every outer-iteration Phase-1 join, so replay never crosses
-  /// an outer iteration. `max_resumes` is unused at this level (the bound
-  /// on recoveries is max_failovers). For K <= 1 the config is forwarded
-  /// verbatim to the single-device engine's PR-6 resume machinery.
+  /// Fleet checkpointing at exchange barriers: `enabled` switches it;
+  /// `max_resumes` is unused at this level (the bound on recoveries is
+  /// max_failovers). For K <= 1 the config is forwarded verbatim to the
+  /// single-device engine's resume machinery (DESIGN.md §12).
   scc::CheckpointConfig checkpoint;
+  /// Snapshot cadence in moving boundary EXCHANGES (one per lockstep sweep
+  /// round). A checkpoint is also taken at every outer-iteration Phase-1
+  /// join, so replay never crosses an outer iteration. Smaller = less work
+  /// replayed on a failover, more snapshot copies on the happy path.
+  std::uint64_t checkpoint_exchanges = 32;
   /// Live-failover bounds: at most this many device-ejection events are
   /// survived per run, and a failover is only attempted while at least
   /// min_devices devices remain un-ejected. Past either bound the error

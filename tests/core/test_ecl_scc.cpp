@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 #include "common/test_graphs.hpp"
@@ -329,12 +331,20 @@ namespace {
 TEST(EclScc, PhaseTimingBreakdownIsPopulated) {
   Rng rng(4242);
   const auto g = graph::random_digraph(2000, 8000, rng);
-  const auto r = scc::ecl_scc(g);
-  EXPECT_GT(r.metrics.phase1_seconds, 0.0);
-  EXPECT_GT(r.metrics.phase2_seconds, 0.0);
-  EXPECT_GT(r.metrics.phase3_seconds, 0.0);
+  // One preempted launch can stretch either phase of a single solve; the
+  // smallest time over a few solves is each phase's own cost.
+  double phase1 = std::numeric_limits<double>::infinity();
+  double phase2 = phase1;
+  for (int run = 0; run < 5; ++run) {
+    const auto r = scc::ecl_scc(g);
+    EXPECT_GT(r.metrics.phase1_seconds, 0.0);
+    EXPECT_GT(r.metrics.phase2_seconds, 0.0);
+    EXPECT_GT(r.metrics.phase3_seconds, 0.0);
+    phase1 = std::min(phase1, r.metrics.phase1_seconds);
+    phase2 = std::min(phase2, r.metrics.phase2_seconds);
+  }
   // §3.3: Phase 2 "is the most performance critical code".
-  EXPECT_GT(r.metrics.phase2_seconds, r.metrics.phase1_seconds);
+  EXPECT_GT(phase2, phase1);
 }
 
 }  // namespace

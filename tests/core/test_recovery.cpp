@@ -64,7 +64,7 @@ std::vector<std::pair<std::string, Digraph>> recovery_graphs() {
 
 TEST(Recovery, CheckpointingIsLabelTransparentFaultFree) {
   // The checkpoint lever is pure bookkeeping on a clean run: labels must be
-  // bit-identical with it on (dense cadence) and off.
+  // bit-identical with it on and off.
   for (const auto& [name, g] : recovery_graphs()) {
     EclOptions off;
     off.checkpoint.enabled = false;
@@ -74,13 +74,13 @@ TEST(Recovery, CheckpointingIsLabelTransparentFaultFree) {
 
     EclOptions on;
     on.checkpoint.enabled = true;
-    on.checkpoint.sweep_interval = 1;  // max snapshot pressure
     device::Device dev_on(device::tiny_profile());
     const SccResult ckpt = scc::ecl_scc(g, dev_on, on);
     ASSERT_TRUE(ckpt.ok()) << name;
 
     EXPECT_EQ(base.labels, ckpt.labels) << name << ": checkpointing changed labels";
-    EXPECT_GT(ckpt.metrics.checkpoints_taken, 0u) << name;
+    // One snapshot per outer iteration, after Phase 1; none inside Phase 2.
+    EXPECT_EQ(ckpt.metrics.checkpoints_taken, ckpt.metrics.outer_iterations) << name;
     // Snapshot copies are timed on their own, outside the phase timers.
     EXPECT_GT(ckpt.metrics.checkpoint_seconds, 0.0) << name;
     EXPECT_EQ(base.metrics.checkpoint_seconds, 0.0) << name;
@@ -120,7 +120,6 @@ std::optional<SccResult> probe_resumed_run(const Digraph& g) {
   EclOptions resume = base;
   resume.watchdog.max_phase2_rounds = budget;
   resume.checkpoint.enabled = true;
-  resume.checkpoint.sweep_interval = 1;
   resume.checkpoint.max_resumes = 6;
   for (const double frac : {0.95, 0.9, 0.85, 0.8, 0.75, 0.7, 0.55, 0.4, 0.25}) {
     const auto start = static_cast<std::uint64_t>(frac * static_cast<double>(launches));
@@ -143,6 +142,7 @@ TEST(Recovery, ResumesThroughTransientBurstAndConverges) {
   EXPECT_EQ(resumed->num_components, oracle.num_components);
   EXPECT_TRUE(scc::certify_scc(g, resumed->labels).ok);
   EXPECT_GT(resumed->metrics.checkpoints_taken, 0u);
+  EXPECT_EQ(resumed->metrics.rounds_replayed, 0u) << "a Phase-2 trip resumes in place";
   EXPECT_GT(resumed->metrics.recovery_seconds, 0.0)
       << "a tripped-then-recovered run must report its recovery span";
   EXPECT_FALSE(resumed->metrics.serial_fallback)
@@ -164,7 +164,6 @@ TEST(Recovery, PermanentStallExhaustsResumesThenFallsBack) {
   o.async_phase2 = false;
   o.watchdog.max_phase2_rounds = 6;  // trip fast
   o.checkpoint.enabled = true;
-  o.checkpoint.sweep_interval = 1;
   o.checkpoint.max_resumes = 2;
   device::Device dev(profile_with(plan));
   const SccResult r = scc::ecl_scc(g, dev, o);
@@ -200,7 +199,6 @@ TEST(Recovery, DeadlineBudgetIsSharedAcrossResumes) {
   o.watchdog.max_phase2_rounds = 6;
   o.watchdog.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(30);
   o.checkpoint.enabled = true;
-  o.checkpoint.sweep_interval = 1;
   o.checkpoint.max_resumes = 1000000;     // deadline, not the count, must stop the ladder
   o.max_outer_iterations = 1000000000ull;  // and not the iteration guard either
   o.stall_policy = StallPolicy::kReturnError;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/test_graphs.hpp"
 #include "core/registry.hpp"
@@ -127,6 +128,20 @@ TEST(Registry, RunResilientOnAbsorbsAStalledDevice) {
   EXPECT_TRUE(r.metrics.serial_fallback);
   EXPECT_TRUE(scc::same_partition(r.labels, scc::tarjan(g).labels));
   EXPECT_TRUE(scc::verify_scc(g, r.labels).ok);
+}
+
+TEST(Registry, RunWithDeadlineCancelsEveryEclConfiguration) {
+  Rng rng(7);
+  const auto g = graph::random_digraph(4000, 8000, rng);
+  const auto expired = std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
+  for (const char* name : {"ecl-a100", "ecl-titanv", "ecl-loadbalance", "ecl-omp"}) {
+    const auto r = scc::run_with_deadline(name, g, expired);
+    EXPECT_EQ(r.error.code, scc::SccStatus::kDeadlineExceeded) << name;
+    EXPECT_LE(r.metrics.propagation_rounds, 1u) << name << ": ran on past the deadline";
+    const auto full = scc::run_algorithm(name, g);
+    ASSERT_TRUE(full.ok()) << name;
+    EXPECT_GT(full.metrics.propagation_rounds, 8u) << name << ": the graph must need many rounds";
+  }
 }
 
 TEST(Registry, RunResilientMatchesTarjanOnAllGraphs) {

@@ -375,14 +375,13 @@ TEST(SolverDifferential, ForcedSparseAndChasePathsMatchTarjanInEveryModeUnderCha
 }
 
 TEST(SolverDifferential, ForcedSparseAndChasePathsSurviveResume) {
-  // Cluster keys are not snapshotted: every restore lands in the iteration
+  // Cluster keys are not snapshotted: every resume stays in the iteration
   // whose Phase 1 recorded the live keys. One sweep per Phase-2 call makes
-  // every iteration that needs a second sweep resume from the snapshot one
-  // sweep back.
+  // every iteration that needs a second sweep trip after each sweep and
+  // resume from the live signatures that sweep left.
   for (const auto& family : switching_families()) {
     EclOptions opts = membership_modes().front().second;
     opts.watchdog.max_phase2_rounds = 1;
-    opts.checkpoint.sweep_interval = 1;
     opts.checkpoint.max_resumes = 1'000'000;
     device::Device dev(solver_profile(), /*workers=*/4);
     const SccResult r = scc::ecl_scc(family.graph, dev, opts);
@@ -418,12 +417,11 @@ TEST(SolverDifferential, StalledSweepsSwitchPriorityOrderAndKeepLabels) {
 TEST(SolverDifferential, ResumeAfterPrioritySwitchKeepsLabels) {
   // A one-sweep Phase-2 budget trips the watchdog in every iteration that
   // needs a second sweep, the switched ones included; each trip resumes
-  // from the snapshot one sweep back, whose signatures carry the random
-  // order, so the replayed sweeps must read them through the same π⁻¹.
+  // from the live signatures, which carry the random order, so the resumed
+  // sweeps must read them through the same π⁻¹.
   for (const auto& family : switching_families()) {
     EclOptions opts;
     opts.watchdog.max_phase2_rounds = 1;
-    opts.checkpoint.sweep_interval = 1;
     opts.checkpoint.max_resumes = 1'000'000;
     device::Device dev(solver_profile(), /*workers=*/4);
     const SccResult r = scc::ecl_scc(family.graph, dev, opts);

@@ -32,6 +32,40 @@ TEST(Worklist, PushAndSwap) {
   EXPECT_EQ(wl.next_size(), 0u);
 }
 
+TEST(Worklist, MarkRewindRestoresIterationStartEdges) {
+  const std::vector<Edge> init{{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 4}, {4, 2}};
+  EdgeWorklist wl{std::span<const Edge>(init)};
+  // One shrink first, so the marked set sits in the second buffer.
+  for (const Edge& e : init)
+    if (e.src != 3) push(wl, e);
+  wl.swap_buffers();
+  const std::vector<Edge> marked(wl.edges().begin(), wl.edges().end());
+  ASSERT_EQ(marked.size(), 5u);
+
+  const EdgeWorklist::Mark mark = wl.mark();
+  push(wl, marked[4]);  // this iteration's survivors
+  push(wl, marked[1]);
+#ifdef NDEBUG
+  // Past capacity (asserts in debug builds): dropped and recorded.
+  for (const Edge& e : init) push(wl, e);
+  EXPECT_TRUE(wl.overflowed());
+#endif
+  wl.swap_buffers();
+  EXPECT_EQ(wl.edges()[0], marked[4]);
+
+  wl.rewind(mark);
+  EXPECT_EQ(std::vector<Edge>(wl.edges().begin(), wl.edges().end()), marked);
+  EXPECT_EQ(wl.next_size(), 0u);
+  EXPECT_FALSE(wl.overflowed());
+  EXPECT_EQ(wl.dropped_edges(), 0u);
+
+  // The rewound worklist shrinks again as usual.
+  push(wl, marked[2]);
+  wl.swap_buffers();
+  ASSERT_EQ(wl.size(), 1u);
+  EXPECT_EQ(wl.edges()[0], marked[2]);
+}
+
 TEST(Worklist, RepeatedShrinkage) {
   const auto g = graph::cycle_graph(64);
   EdgeWorklist wl(g);

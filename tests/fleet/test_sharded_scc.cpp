@@ -230,7 +230,7 @@ TEST(ShardedScc, FailoverRecoversFromPersistentlyFaultyDevice) {
 
     ShardedOptions opts;
     opts.shards = 4;
-    opts.checkpoint.sweep_interval = 2;
+    opts.checkpoint_exchanges = 2;
     opts.ecl.watchdog.max_phase2_rounds = 64;  // trip fast; fault-free needs far fewer
     const SccResult sharded = fleet::sharded_scc(family.graph, pool, opts);
 
@@ -307,11 +307,11 @@ TEST(ShardedScc, CheckpointCadenceFollowsConfig) {
   Rng rng(0x40710'01);
   const Digraph g = graph::random_digraph(150, 450, rng);
 
-  // Every Phase-1 join checkpoints; sweep_interval = 1 adds one per moving
-  // exchange on top.
+  // Every Phase-1 join checkpoints; checkpoint_exchanges = 1 adds one per
+  // moving exchange on top.
   ShardedOptions opts;
   opts.shards = 3;
-  opts.checkpoint.sweep_interval = 1;
+  opts.checkpoint_exchanges = 1;
   const SccResult frequent = fleet::sharded_scc(g, pool, opts);
   ASSERT_TRUE(frequent.ok());
   EXPECT_GE(frequent.metrics.checkpoints_taken,
