@@ -74,9 +74,14 @@ struct EclState {
   /// by kernels via the captured per-launch value only.
   std::uint32_t round = 0;
 
+  /// In-block pass clock (DESIGN.md §10): every Phase-2 block pass takes one
+  /// tick, and the stores it makes stamp their owners' pass marks with it.
+  std::atomic<std::uint32_t> pass_clock{0};
+
   std::atomic<std::uint32_t> changed{0};
   std::atomic<std::uint64_t> labeled{0};
   std::atomic<std::uint64_t> edges_processed{0};
+  std::atomic<std::uint64_t> edges_moved{0};
   std::atomic<std::uint64_t> edges_skipped{0};
   std::atomic<std::uint64_t> block_iterations{0};
 
@@ -178,7 +183,7 @@ struct WorklistLinks {
 // The per-edge propagation bodies (monotone store dispatch, path
 // compression, fault semantics) live in core/propagate.hpp, shared with the
 // fleet's sharded engine (DESIGN.md §13) so both run the exact same update
-// rule. These wrappers adapt them to the solver's EclState.
+// rule. BlockPasses below applies them to the solver's EclState.
 
 // --- Checkpointed resume (DESIGN.md §12) -----------------------------------
 //
@@ -223,16 +228,114 @@ void restamp_epochs(EclState& st) {
   st.changed.store(0, std::memory_order_relaxed);
 }
 
-/// The solver's propagation view: signatures, fault hook, and (during an
-/// armed Phase-2 sweep) the mover bag. Built once per kernel block.
-detail::SigView sig_view(EclState& st) noexcept {
-  return {st.sigs, st.fault, st.active_bag, st.vertices()};
-}
-
 // grid_size and for_each_owned live in core/propagate.hpp (shared with the
 // fleet's per-shard kernels).
 using detail::for_each_owned;
 using detail::grid_size;
+
+// --- In-block passes (DESIGN.md §10) ----------------------------------------
+//
+// Under async_phase2 a Phase-2 block re-passes its edges until a pass moves
+// nothing. Pass 1 visits the edges its round admits. Every pass takes a tick
+// of the pass clock, and each store that moves a signature stamps its
+// owner's pass mark with that tick; from pass 2 on a block visits only edges
+// with an endpoint whose mark is at or after the tick of its own previous
+// pass, i.e. that moved since that pass began. A store the filter misses (one
+// from another block whose pass began earlier) also stamps its round's epoch
+// and sets the round's changed flag, so the next round's pass 1 visits the
+// edge: a miss costs a round, never a label.
+
+/// One block's passes over its edges in one Phase-2 round.
+class BlockPasses {
+ public:
+  BlockPasses(EclState& st, const EclOptions& opts, const WorklistLinks& links, bool chase,
+              std::uint32_t round)
+      : st_(st),
+        opts_(opts),
+        links_(links),
+        chase_(chase),
+        round_(round),
+        view_{st.sigs, st.fault, st.active_bag, st.vertices()} {}
+
+  /// Passes over the block's `count` edges: edge_at(pass, k) is the k-th
+  /// edge of pass `pass` (from 1), and admit(e) is pass 1's gate. Stops after
+  /// a pass that moves nothing (after one pass without async_phase2); the
+  /// per-block `budget` of passes and the wall clock keep a fault-suppressed
+  /// fixpoint from spinning forever in-kernel. Then adds the block's counters
+  /// to the solve's, and flags the round changed if any pass moved a
+  /// signature.
+  template <typename EdgeAt, typename Admit>
+  void run(std::uint64_t count, EdgeAt edge_at, Admit admit, std::uint64_t budget,
+           const FixpointWatchdog& watchdog) {
+    bool moved;
+    do {
+      moved = false;
+      const std::uint32_t since = view_.tick;
+      view_.tick = st_.pass_clock.fetch_add(1, std::memory_order_relaxed) + 1;
+      ++passes_;
+      for (std::uint64_t k = 0; k < count; ++k) {
+        const graph::Edge e = edge_at(passes_, k);
+        if (passes_ == 1 ? !admit(e) : !moved_since(e, since)) continue;
+        moved |= visit(e);
+      }
+      changed_ |= moved;
+    } while (opts_.async_phase2 && moved && passes_ < budget && !watchdog.expired());
+    commit();
+  }
+
+ private:
+  void commit() const {
+    if (changed_) st_.changed.store(1, std::memory_order_relaxed);
+    st_.block_iterations.fetch_add(passes_, std::memory_order_relaxed);
+    st_.edges_processed.fetch_add(processed_, std::memory_order_relaxed);
+    st_.edges_moved.fetch_add(moved_, std::memory_order_relaxed);
+    if (chains_) {
+      st_.chains_collapsed.fetch_add(chains_, std::memory_order_relaxed);
+      st_.chain_steps.fetch_add(steps_, std::memory_order_relaxed);
+      device::atomic_fetch_max_u64(st_.max_chain_len, longest_);
+    }
+  }
+
+  /// The filter of passes >= 2. A wrap of the 32-bit clock only makes a
+  /// mark look older or newer than it is.
+  bool moved_since(graph::Edge e, std::uint32_t since) const noexcept {
+    return st_.sigs.mark_of(e.src) >= since || st_.sigs.mark_of(e.dst) >= since;
+  }
+
+  /// The per-edge rule. When it moved a signature and the round chases,
+  /// the edge's degree-one worklist chains are walked locally instead of
+  /// paying a grid barrier per link (§15).
+  bool visit(graph::Edge e) noexcept {
+    ++processed_;
+    bool moved = detail::propagate_edge(view_, e, opts_, round_);
+    if (opts_.min_max_signatures) moved |= detail::propagate_edge_min(view_, e, opts_, round_);
+    if (!moved) return false;
+    ++moved_;
+    if (chase_) {
+      const detail::ChaseResult cr = detail::chase_chain(view_, links_, e, opts_, round_);
+      processed_ += cr.steps;
+      moved_ += cr.moved;
+      if (cr.moved) {
+        ++chains_;
+        steps_ += cr.moved;
+        longest_ = std::max<std::uint64_t>(longest_, cr.moved);
+      }
+    }
+    return true;
+  }
+
+  EclState& st_;
+  const EclOptions& opts_;
+  const WorklistLinks& links_;
+  const bool chase_;
+  const std::uint32_t round_;
+  /// Signatures, fault hook, the mover bag while the round is armed, the
+  /// priority order, and the current pass's tick.
+  detail::SigView view_;
+  bool changed_ = false;
+  std::uint64_t passes_ = 0, processed_ = 0, moved_ = 0;
+  std::uint64_t chains_ = 0, steps_ = 0, longest_ = 0;
+};
 
 /// Packs a signature pair into one cluster-key word.
 std::uint64_t pack_key(const device::AtomicU32& hi, const device::AtomicU32& lo) noexcept {
@@ -342,11 +445,12 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
     st.changed.store(0, std::memory_order_relaxed);
     st.active_seen.store(0, std::memory_order_relaxed);
     ++metrics.propagation_rounds;
-    // One round of the global clock per sweep. An edge is active when either
-    // endpoint's signature moved in the previous round (epoch >= r - 1) or
-    // this one; everything else is provably at the fixpoint already and is
-    // skipped. Async in-block re-iterations share the sweep's round: stamps
-    // of r keep their edges active across the inner iterations.
+    // One round of the global clock per sweep. A dense round's first pass
+    // visits an edge when either endpoint's signature moved in the previous
+    // round (epoch >= r - 1) or this one; everything else is provably at the
+    // fixpoint already and is skipped. Later passes of a block visit only
+    // edges whose endpoints moved since its previous pass began (pass marks,
+    // BlockPasses), a subset of the edges this gate admits.
     const std::uint32_t r = ++st.round;
     const std::uint64_t processed_before = st.edges_processed.load(std::memory_order_relaxed);
     const std::uint64_t skipped_before = st.edges_skipped.load(std::memory_order_relaxed);
@@ -389,88 +493,26 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
       last_active = active.size();
       if (active.empty()) break;  // no mover touches a worklist edge: fixpoint
 
+      // The gather is the round's gate, so pass 1 visits every gathered edge.
+      const auto admit_all = [](graph::Edge) { return true; };
       if (active.size() <= kSerialSparseEdges) {
-        const detail::SigView view = sig_view(st);
-        std::uint64_t processed = 0, iters = 0;
-        std::uint64_t chains = 0, steps = 0, longest = 0;
-        bool overall = false, any;
-        do {
-          any = false;
-          ++iters;
-          for (const graph::Edge e : active) {
-            ++processed;
-            bool moved = detail::propagate_edge(view, e, opts, r);
-            if (opts.min_max_signatures)
-              moved |= detail::propagate_edge_min(view, e, opts, r);
-            if (moved && chase_now) {
-              const detail::ChaseResult cr = detail::chase_chain(view, links, e, opts, r);
-              processed += cr.steps;
-              if (cr.moved) {
-                ++chains;
-                steps += cr.moved;
-                longest = std::max<std::uint64_t>(longest, cr.moved);
-              }
-            }
-            any |= moved;
-          }
-          overall |= any;
-        } while (opts.async_phase2 && any && iters < budget && !watchdog.expired());
-        if (overall) st.changed.store(1, std::memory_order_relaxed);
-        st.block_iterations.fetch_add(iters, std::memory_order_relaxed);
-        st.edges_processed.fetch_add(processed, std::memory_order_relaxed);
-        if (chains) {
-          st.chains_collapsed.fetch_add(chains, std::memory_order_relaxed);
-          st.chain_steps.fetch_add(steps, std::memory_order_relaxed);
-          device::atomic_fetch_max_u64(st.max_chain_len, longest);
-        }
+        BlockPasses block(st, opts, links, chase_now, r);
+        block.run(
+            active.size(), [&](std::uint64_t, std::uint64_t k) { return active[k]; }, admit_all,
+            budget, watchdog);
       } else {
         const std::uint64_t a = active.size();
         const graph::Edge* act = active.data();
         dev.launch(
             grid_size(dev, a, opts.persistent_threads),
             [&, r](const BlockContext& ctx) {
-              const detail::SigView view = sig_view(st);
-              std::uint64_t local_processed = 0;
-              std::uint64_t local_assigned = 0;
-              std::uint64_t local_chains = 0, local_steps = 0, local_longest = 0;
-              bool local_changed;
-              std::uint64_t local_iters = 0;
-              do {
-                local_changed = false;
-                ++local_iters;
-                for_each_owned(ctx, a, [&](std::uint64_t lo, std::uint64_t hi) {
-                  if (local_iters == 1) local_assigned += hi - lo;
-                  for (std::uint64_t k = lo; k < hi; ++k) {
-                    const graph::Edge e = act[k];
-                    ++local_processed;
-                    bool moved = detail::propagate_edge(view, e, opts, r);
-                    if (opts.min_max_signatures)
-                      moved |= detail::propagate_edge_min(view, e, opts, r);
-                    if (moved && chase_now) {
-                      const detail::ChaseResult cr =
-                          detail::chase_chain(view, links, e, opts, r);
-                      local_processed += cr.steps;
-                      if (cr.moved) {
-                        ++local_chains;
-                        local_steps += cr.moved;
-                        local_longest = std::max<std::uint64_t>(local_longest, cr.moved);
-                      }
-                    }
-                    local_changed |= moved;
-                  }
-                });
-              } while (opts.async_phase2 && local_changed && local_iters < budget &&
-                       !watchdog.expired());
-              if (local_changed || (opts.async_phase2 && local_iters > 1))
-                st.changed.store(1, std::memory_order_relaxed);
-              st.block_iterations.fetch_add(local_iters, std::memory_order_relaxed);
-              st.edges_processed.fetch_add(local_processed, std::memory_order_relaxed);
-              if (local_chains) {
-                st.chains_collapsed.fetch_add(local_chains, std::memory_order_relaxed);
-                st.chain_steps.fetch_add(local_steps, std::memory_order_relaxed);
-                device::atomic_fetch_max_u64(st.max_chain_len, local_longest);
-              }
-              dev.record_block_work(ctx.block_id, local_assigned);
+              const device::EdgeSpan span =
+                  device::equal_edge_span(ctx.block_id, ctx.num_blocks, a);
+              BlockPasses block(st, opts, links, chase_now, r);
+              block.run(
+                  span.size(), [&](std::uint64_t, std::uint64_t k) { return act[span.begin + k]; },
+                  admit_all, budget, watchdog);
+              dev.record_block_work(ctx.block_id, span.size());
             },
             {.idempotent = true});
       }
@@ -478,70 +520,34 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
       dev.launch(
           blocks,
           [&, r](const BlockContext& ctx) {
-            const detail::SigView view = sig_view(st);
-            std::uint64_t local_processed = 0;
+            const device::EdgeSpan span = device::equal_edge_span(ctx.block_id, ctx.num_blocks, m);
             std::uint64_t local_skipped = 0;
-            std::uint64_t local_assigned = 0;
-            std::uint64_t local_active = 0;
-            std::uint64_t local_chains = 0, local_steps = 0, local_longest = 0;
-            bool local_changed;
-            std::uint64_t local_iters = 0;
-            do {
-              local_changed = false;
-              ++local_iters;
-              for_each_owned(ctx, m, [&](std::uint64_t lo, std::uint64_t hi) {
-                if (local_iters == 1) local_assigned += hi - lo;
-                for (std::uint64_t i = lo; i < hi; ++i) {
-                  const graph::Edge e = edges[i];
-                  if (st.sigs.epoch_of(e.src) + 1 < r && st.sigs.epoch_of(e.dst) + 1 < r) {
-                    ++local_skipped;
-                    continue;
-                  }
-                  // First-sweep (not re-iteration) active count: the round's
-                  // frontier-density signal for the §15 adaptivity.
-                  if (local_iters == 1) ++local_active;
-                  ++local_processed;
-                  bool moved = detail::propagate_edge(view, e, opts, r);
-                  if (opts.min_max_signatures)
-                    moved |= detail::propagate_edge_min(view, e, opts, r);
-                  // Vertical granularity control (§15): the edge moved a
-                  // signature; if its endpoints sit on a degree-one chain of
-                  // the worklist, walk the chain locally instead of paying a
-                  // grid barrier per link.
-                  if (moved && chase_now) {
-                    const detail::ChaseResult cr = detail::chase_chain(view, links, e, opts, r);
-                    local_processed += cr.steps;
-                    if (cr.moved) {
-                      ++local_chains;
-                      local_steps += cr.moved;
-                      local_longest = std::max<std::uint64_t>(local_longest, cr.moved);
-                    }
-                  }
-                  local_changed |= moved;
-                }
-              });
-              // async_phase2: the block re-iterates its edges to a local fixed
-              // point inside one launch (§3.3); sync mode does a single sweep.
-              // The per-block sweep budget and the wall-clock check keep a
-              // fault-suppressed fixpoint from spinning forever in-kernel.
-            } while (opts.async_phase2 && local_changed && local_iters < budget &&
-                     !watchdog.expired());
-            if (local_changed || (opts.async_phase2 && local_iters > 1))
-              st.changed.store(1, std::memory_order_relaxed);
-            st.block_iterations.fetch_add(local_iters, std::memory_order_relaxed);
-            st.edges_processed.fetch_add(local_processed, std::memory_order_relaxed);
+            BlockPasses block(st, opts, links, chase_now, r);
+            // Odd passes ascend the span and even passes descend it. The
+            // worklist is in source order, so an ascending pass carries vin,
+            // which flows along the edges, down an ascending path in one
+            // pass, and a descending pass does the same for vout.
+            block.run(
+                span.size(),
+                [&](std::uint64_t pass, std::uint64_t k) {
+                  return edges[pass % 2 ? span.begin + k : span.end - 1 - k];
+                },
+                [&](graph::Edge e) {
+                  const bool live = st.sigs.epoch_of(e.src) + 1 >= r ||
+                                    st.sigs.epoch_of(e.dst) + 1 >= r;
+                  local_skipped += !live;
+                  return live;
+                },
+                budget, watchdog);
             st.edges_skipped.fetch_add(local_skipped, std::memory_order_relaxed);
-            st.active_seen.fetch_add(local_active, std::memory_order_relaxed);
-            if (local_chains) {
-              st.chains_collapsed.fetch_add(local_chains, std::memory_order_relaxed);
-              st.chain_steps.fetch_add(local_steps, std::memory_order_relaxed);
-              device::atomic_fetch_max_u64(st.max_chain_len, local_longest);
-            }
+            // Pass 1's admitted count: the round's frontier-density signal
+            // for the §15 adaptivity.
+            st.active_seen.fetch_add(span.size() - local_skipped, std::memory_order_relaxed);
             // The imbalance histogram measures ASSIGNMENT skew — the edges
             // this block owns per sweep, the quantity equal edge spans
             // control. Async in-block re-iteration counts are a convergence
             // property with their own metric (block_iterations).
-            dev.record_block_work(ctx.block_id, local_assigned);
+            dev.record_block_work(ctx.block_id, span.size());
           },
           {.idempotent = true});
       last_active = st.active_seen.load(std::memory_order_relaxed);
@@ -889,6 +895,7 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
   }
 
   result.metrics.edges_processed = st.edges_processed.load(std::memory_order_relaxed);
+  result.metrics.edges_moved = st.edges_moved.load(std::memory_order_relaxed);
   result.metrics.edges_skipped = st.edges_skipped.load(std::memory_order_relaxed);
   result.metrics.edges_dropped = dropped_edges_total + st.worklist.dropped_edges();
   result.metrics.kernel_launches = dev.stats().kernel_launches - launches_before;

@@ -9,7 +9,10 @@
 // them one at a time:
 //
 //  * async_phase2      — thread blocks iterate internally to a local fixed
-//                        point, slashing kernel-launch count (§3.3);
+//                        point, slashing kernel-launch count (§3.3); each
+//                        pass after the first visits only edges whose
+//                        endpoints moved since the previous one began
+//                        (DESIGN.md §10);
 //  * remove_scc_edges  — drop edges inside already-detected SCCs from the
 //                        worklist, not only the cross-SCC edges (§3.3);
 //  * path_compression  — propagate in[in[u]] / out[out[v]] and lift the

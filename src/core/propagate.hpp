@@ -66,6 +66,10 @@ struct SigView {
   /// p. Null means vertex-ID order, π = identity (the fleet's K > 1
   /// kernels always pass null).
   const vid* vertex_of = nullptr;
+  /// The current in-block pass's tick of the solver's pass clock (DESIGN.md
+  /// §10); every store that moves a signature stamps the owner's pass mark
+  /// with it. 0 stamps nothing (the fleet's K > 1 kernels).
+  std::uint32_t tick = 0;
 
   /// The vertex a signature value names.
   vid vertex(std::uint32_t sig) const noexcept { return vertex_of ? vertex_of[sig] : sig; }
@@ -83,10 +87,11 @@ struct SigView {
 /// `owner` is the vertex whose signature the slot belongs to. Any reported
 /// movement — including a deferred store's, so the retry round still sees
 /// the edge as active — stamps the owner's frontier epoch with the current
-/// round, keeping its incident edges in the active frontier. Round 0 means
-/// no frontier clock: the sharded engine's per-shard sweeps pass it (an
-/// exchange-raised value would have to re-stamp foreign epochs), the same
-/// convention chase_chain uses for its round stamps.
+/// round, keeping its incident edges in the active frontier, and its pass
+/// mark with the view's tick, keeping them in the block's next pass. Round 0
+/// means no frontier clock: the sharded engine's per-shard sweeps pass it
+/// (an exchange-raised value would have to re-stamp foreign epochs), the
+/// same convention chase_chain uses for its round stamps.
 inline bool store_max(const SigView& st, device::AtomicU32& slot, vid owner,
                       std::uint32_t value, const EclOptions& opts,
                       std::uint32_t round) noexcept {
@@ -99,6 +104,7 @@ inline bool store_max(const SigView& st, device::AtomicU32& slot, vid owner,
                                 : device::racy_store_max(slot, value);
   if (moved) {
     if (round != 0) st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
+    if (st.tick != 0) st.sigs.mark(owner).store(st.tick, std::memory_order_relaxed);
     if (st.bag) st.bag->insert(owner);
   }
   return moved;
@@ -116,6 +122,7 @@ inline bool store_min(const SigView& st, device::AtomicU32& slot, vid owner,
                                 : device::racy_store_min(slot, value);
   if (moved) {
     if (round != 0) st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
+    if (st.tick != 0) st.sigs.mark(owner).store(st.tick, std::memory_order_relaxed);
     if (st.bag) st.bag->insert(owner);
   }
   return moved;

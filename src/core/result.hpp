@@ -50,16 +50,21 @@ struct SccMetrics {
   std::uint64_t outer_iterations = 0;    ///< Alg. 1 while-loop trips / FB rounds
   std::uint64_t propagation_rounds = 0;  ///< Phase-2 global rounds / BFS levels
   std::uint64_t edges_processed = 0;     ///< total edge visits across all rounds
+  /// ECL-SCC Phase 2 only: the edge visits, chase links included, whose
+  /// update moved a signature; edges_processed / edges_moved is the visits
+  /// Phase 2 pays per useful one (DESIGN.md §10).
+  std::uint64_t edges_moved = 0;
   std::uint64_t edges_removed = 0;       ///< worklist shrinkage (Phase 3)
   std::uint64_t kernel_launches = 0;     ///< virtual-device launches
   std::uint64_t block_iterations = 0;    ///< async-kernel internal repeats
 
   /// Frontier gating (DESIGN.md §10): edge visits skipped because both
   /// endpoints were quiescent, and the number of propagation rounds in
-  /// which at least one edge was skipped. Hash-bag sparse rounds (§15)
-  /// also count here — every edge they never had to gate-check is a skip.
-  /// Zero for the solvers without a gate (FB-Trim, the sharded K > 1
-  /// engine, the serial baselines).
+  /// which at least one edge was skipped. Only a block's first pass of a
+  /// round is gated; the pass-mark filter's skips in later passes are not
+  /// counted. Hash-bag sparse rounds (§15) also count here — every edge
+  /// they never had to gate-check is a skip. Zero for the solvers without
+  /// a gate (FB-Trim, the sharded K > 1 engine, the serial baselines).
   std::uint64_t edges_skipped = 0;
   std::uint64_t frontier_rounds = 0;
 

@@ -4,11 +4,12 @@
 // Signature state layout (§3.4 + DESIGN.md §10).
 //
 // ECL-SCC's per-vertex state — the vin/vout max signatures, the optional
-// min_in/min_out pair of the 4-signature variant, and the frontier-gating
-// epoch stamp — lives in one 64-byte-aligned slot per vertex. A writer
-// dirties only its own vertex's cache line, so pool threads updating
-// different vertices never false-share, and the fields an edge visit
-// touches together (vin+vout+epoch of one endpoint) arrive on one line.
+// min_in/min_out pair of the 4-signature variant, the frontier-gating
+// epoch stamp and the in-block pass mark — lives in one 64-byte-aligned
+// slot per vertex. A writer dirties only its own vertex's cache line, so
+// pool threads updating different vertices never false-share, and the
+// fields an edge visit touches together (vin+vout+epoch+mark of one
+// endpoint) arrive on one line.
 //
 // Every field is an AtomicU32 accessed with the relaxed-order store helpers
 // in device/atomics.hpp, preserving the benign-race semantics the paper's
@@ -26,7 +27,7 @@ class SignatureStore {
   SignatureStore() = default;
 
   /// Allocates state for n vertices. Every slot has room for the
-  /// 4-signature min_in/min_out pair and the epoch stamp.
+  /// 4-signature min_in/min_out pair, the epoch stamp and the pass mark.
   explicit SignatureStore(std::uint32_t n) : slots_(std::make_unique<Slot[]>(n)) {}
 
   AtomicU32& vin(std::uint32_t v) noexcept { return slots_[v].vin; }
@@ -42,6 +43,14 @@ class SignatureStore {
     return slots_[v].epoch.load(std::memory_order_relaxed);
   }
 
+  /// In-block pass filter's stamp: the pass-clock tick of the last block
+  /// pass in which any signature of v moved (0 = never).
+  AtomicU32& mark(std::uint32_t v) noexcept { return slots_[v].mark; }
+
+  std::uint32_t mark_of(std::uint32_t v) const noexcept {
+    return slots_[v].mark.load(std::memory_order_relaxed);
+  }
+
  private:
   /// One vertex's complete signature state on its own cache line. Atomics
   /// zero-initialize.
@@ -51,6 +60,7 @@ class SignatureStore {
     AtomicU32 min_in{0};
     AtomicU32 min_out{0};
     AtomicU32 epoch{0};
+    AtomicU32 mark{0};
   };
   static_assert(sizeof(Slot) == 64, "one slot per cache line");
   static_assert(alignof(Slot) == 64, "slots must start on line boundaries");

@@ -12,8 +12,11 @@
 #include "common/test_graphs.hpp"
 #include "core/ecl_scc.hpp"
 #include "core/fb_trim.hpp"
+#include "core/propagate.hpp"
 #include "core/tarjan.hpp"
 #include "core/verify.hpp"
+#include "device/fault.hpp"
+#include "device/signature_store.hpp"
 #include "graph/permute.hpp"
 
 namespace ecl::test {
@@ -156,6 +159,37 @@ TEST(EclScc, RemoveSccEdgesShrinksWorkload) {
   EXPECT_TRUE(scc::same_partition(a.labels, b.labels));
   EXPECT_GE(a.metrics.edges_removed, b.metrics.edges_removed);
   EXPECT_LE(a.metrics.edges_processed, b.metrics.edges_processed);
+}
+
+TEST(EclScc, StoresThatReportMovementStampThePassMark) {
+  // The in-block pass filter (DESIGN.md §10) trusts every store that
+  // reports movement to stamp its owner's pass mark with the view's tick,
+  // a deferred store included; a view with tick 0 (the fleet's K > 1
+  // kernels) stamps nothing.
+  device::SignatureStore sigs(3);
+  const EclOptions opts;
+  scc::detail::SigView view{sigs};
+  view.tick = 7;
+  EXPECT_TRUE(scc::detail::store_max(view, sigs.vin(0), 0, 5, opts, /*round=*/2));
+  EXPECT_EQ(sigs.mark_of(0), 7u);
+  EXPECT_EQ(sigs.epoch_of(0), 2u);
+  view.tick = 8;
+  EXPECT_FALSE(scc::detail::store_max(view, sigs.vin(0), 0, 4, opts, 3));
+  EXPECT_EQ(sigs.mark_of(0), 7u) << "a store that moves nothing stamps nothing";
+
+  view.tick = 0;
+  EXPECT_TRUE(scc::detail::store_max(view, sigs.vout(1), 1, 5, opts, 0));
+  EXPECT_EQ(sigs.mark_of(1), 0u);
+
+  device::FaultPlan plan;
+  plan.delayed_visibility = true;
+  plan.store_defer_probability = 1.0;
+  device::FaultInjector fault(plan);
+  scc::detail::SigView deferring{sigs, &fault};
+  deferring.tick = 9;
+  EXPECT_TRUE(scc::detail::store_max(deferring, sigs.vout(2), 2, 5, opts, 4));
+  EXPECT_EQ(sigs.vout(2).load(), 0u) << "a deferred store does not land";
+  EXPECT_EQ(sigs.mark_of(2), 9u);
 }
 
 TEST(EclScc, MetricsAreConsistent) {

@@ -244,6 +244,23 @@ TEST(SolverDifferential, GateSkipsEdgesAndCountsThem) {
   EXPECT_GT(r.metrics.frontier_rounds, 0u);
 }
 
+TEST(SolverDifferential, InBlockPassesVisitFewEdgesPerMove) {
+  // From its second pass on, an in-block Phase-2 pass visits only edges
+  // whose endpoints moved since the block's previous pass began, and dense
+  // passes alternate direction (DESIGN.md §10). On the deep sweep graphs
+  // that keeps Phase 2 within 4 edge visits per visit that moves a
+  // signature, where passes that re-scan the whole span pay 7 to 11. One
+  // worker keeps the counts deterministic.
+  for (const auto& family : switching_families()) {
+    device::Device dev(solver_profile(), /*workers=*/1);
+    const SccResult r = scc::ecl_scc(family.graph, dev);
+    ASSERT_TRUE(r.ok()) << family.name << ": " << r.error.message;
+    EXPECT_EQ(r.labels, tarjan_max_labels(family.graph)) << family.name;
+    ASSERT_GT(r.metrics.edges_moved, 0u) << family.name;
+    EXPECT_LE(r.metrics.edges_processed, 4 * r.metrics.edges_moved) << family.name;
+  }
+}
+
 TEST(SolverDifferential, Phase3RemovalsIdenticalAcrossSchedules) {
   // Worker count and block order change which block removes an edge, never
   // WHICH edges are removed or how many outer iterations the fixpoint takes.
