@@ -51,14 +51,13 @@ bool priority_switch_due(std::uint64_t finished, std::uint64_t gained, std::uint
 
 /// Per-run state shared by the kernels.
 struct EclState {
-  explicit EclState(const Digraph& g, bool min_max)
+  explicit EclState(const Digraph& g)
       : csr(g),
         n(g.num_vertices()),
         sigs(n),
         labels(n, graph::kInvalidVid),
         worklist(g),
-        key(n),
-        min_key(min_max ? n : 0) {}
+        key(n) {}
 
   /// The solve graph. Sparse rounds and chases read the worklist from its
   /// CSR through in_worklist.
@@ -85,16 +84,15 @@ struct EclState {
   std::atomic<std::uint64_t> edges_skipped{0};
   std::atomic<std::uint64_t> block_iterations{0};
 
-  /// Cluster keys (DESIGN.md §15): each unlabelled vertex's (vin, vout),
-  /// and under min_max_signatures its (min_in, min_out), as the last
-  /// iteration left them, recorded by Phase 1 before it resets them. Phase
-  /// 3 keeps exactly the edges whose endpoints agree on these, so a graph
-  /// edge is in the worklist iff in_worklist says so.
-  std::vector<std::uint64_t> key, min_key;
+  /// Cluster keys (DESIGN.md §15): each unlabelled vertex's (vin, vout) as
+  /// the last iteration left them, recorded by Phase 1 before it resets
+  /// them. Phase 3 keeps exactly the edges whose endpoints agree on these,
+  /// so a graph edge is in the worklist iff in_worklist says so.
+  std::vector<std::uint64_t> key;
 
   bool in_worklist(vid a, vid b) const noexcept {
     return labels[a] == graph::kInvalidVid && labels[b] == graph::kInvalidVid &&
-           key[a] == key[b] && (min_key.empty() || min_key[a] == min_key[b]);
+           key[a] == key[b];
   }
 
   /// High-diameter state (DESIGN.md §15), built on the control thread at
@@ -307,9 +305,7 @@ class BlockPasses {
   /// paying a grid barrier per link (§15).
   bool visit(graph::Edge e) noexcept {
     ++processed_;
-    bool moved = detail::propagate_edge(view_, e, opts_, round_);
-    if (opts_.min_max_signatures) moved |= detail::propagate_edge_min(view_, e, opts_, round_);
-    if (!moved) return false;
+    if (!detail::propagate_edge(view_, e, opts_, round_)) return false;
     ++moved_;
     if (chase_) {
       const detail::ChaseResult cr = detail::chase_chain(view_, links_, e, opts_, round_);
@@ -358,20 +354,11 @@ void phase1_init(EclState& st, device::Device& dev, const EclOptions& opts) {
               // Record the cluster key before the reset. The epoch guard
               // keeps a replayed block (the launch is idempotent) from
               // recording the signatures it has just reset.
-              if (st.sigs.epoch_of(v) != round) {
+              if (st.sigs.epoch_of(v) != round)
                 st.key[v] = pack_key(st.sigs.vin(v), st.sigs.vout(v));
-                if (opts.min_max_signatures)
-                  st.min_key[v] = pack_key(st.sigs.min_in(v), st.sigs.min_out(v));
-              }
               const std::uint32_t p = priority ? priority[v] : static_cast<std::uint32_t>(v);
               st.sigs.vin(v).store(p, std::memory_order_relaxed);
               st.sigs.vout(v).store(p, std::memory_order_relaxed);
-              if (opts.min_max_signatures) {
-                st.sigs.min_in(v).store(static_cast<std::uint32_t>(v),
-                                        std::memory_order_relaxed);
-                st.sigs.min_out(v).store(static_cast<std::uint32_t>(v),
-                                         std::memory_order_relaxed);
-              }
               st.sigs.epoch(v).store(round, std::memory_order_relaxed);
             }
           }
@@ -607,17 +594,6 @@ void detect_components(EclState& st, device::Device& dev, const EclOptions& opts
             if (i == o) {
               st.labels[v] = vertex_of ? vertex_of[i] : i;
               ++local;
-              continue;
-            }
-            if (opts.min_max_signatures) {
-              // A vertex whose min signatures agree is in the MIN SCC of its
-              // cluster; label it by that (minimum) member.
-              const std::uint32_t mi = st.sigs.min_in(v).load(std::memory_order_relaxed);
-              const std::uint32_t mo = st.sigs.min_out(v).load(std::memory_order_relaxed);
-              if (mi == mo) {
-                st.labels[v] = mi;
-                ++local;
-              }
             }
           }
         });
@@ -648,13 +624,6 @@ void phase3_remove_edges(EclState& st, device::Device& dev, const EclOptions& op
             const std::uint32_t ou = st.sigs.vout(e.src).load(std::memory_order_relaxed);
             const std::uint32_t ov = st.sigs.vout(e.dst).load(std::memory_order_relaxed);
             if (iu != iv || ou != ov) continue;  // spans SCCs: drop
-            if (opts.min_max_signatures) {
-              const std::uint32_t miu = st.sigs.min_in(e.src).load(std::memory_order_relaxed);
-              const std::uint32_t miv = st.sigs.min_in(e.dst).load(std::memory_order_relaxed);
-              const std::uint32_t mou = st.sigs.min_out(e.src).load(std::memory_order_relaxed);
-              const std::uint32_t mov = st.sigs.min_out(e.dst).load(std::memory_order_relaxed);
-              if (miu != miv || mou != mov) continue;  // min signatures disagree
-            }
             if (opts.remove_scc_edges && st.labels[e.src] != graph::kInvalidVid)
               continue;  // inside a completed SCC: no longer needed (§3.3)
             chunk.push(e);
@@ -751,7 +720,7 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
   SccResult result;
   if (n == 0) return result;
 
-  EclState st(g, opts.min_max_signatures);
+  EclState st(g);
   if (dev.fault_active() &&
       (dev.fault().plan().delayed_visibility || dev.fault().plan().lost_update))
     st.fault = &dev.fault();
@@ -769,11 +738,10 @@ SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
   // from the live signatures, at most max_resumes times.
   FixpointCheckpoint ckpt;
   const bool checkpointing = opts.checkpoint.enabled;
-  // The priority switch (see kSwitchFromIteration) is skipped under
-  // min_max_signatures, whose min-side labels name by minimum member, and
-  // with remove_scc_edges off, where completed SCCs keep worklist edges
-  // whose signatures stay in vertex-ID order.
-  const bool may_switch = !opts.min_max_signatures && opts.remove_scc_edges;
+  // The priority switch (see kSwitchFromIteration) is skipped with
+  // remove_scc_edges off, where completed SCCs keep worklist edges whose
+  // signatures stay in vertex-ID order.
+  const bool may_switch = opts.remove_scc_edges;
   // Iterations that completed and stood (a resumed attempt is not counted
   // twice), and the progress of the last one.
   std::uint64_t finished = 0, last_gained = 0, last_unlabeled = 0;
@@ -940,12 +908,10 @@ SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts)
   // relabeling pays for the permutation + remap. Out-degree-only stats keep
   // the rejected path cheap — the full variant's O(m) in-degree pass showed
   // up as ~10% on small fast-solving graphs. Skipped when the permutation
-  // is the identity and under min_max_signatures (min-side labels name by
-  // minimum member, which a max-member remap cannot reproduce). Labels are
-  // unaffected either way: the remap names every component by its maximum
-  // ORIGINAL member, bit-identical to the unreordered solve.
-  if (!opts.min_max_signatures &&
-      hub_reorder_profitable(graph::compute_out_degree_stats(g))) {
+  // is the identity. Labels are unaffected either way: the remap names
+  // every component by its maximum ORIGINAL member, bit-identical to the
+  // unreordered solve.
+  if (hub_reorder_profitable(graph::compute_out_degree_stats(g))) {
     const std::vector<vid> perm = graph::hub_clustering_permutation(g);
     if (!perm.empty()) {
       SccResult result = solve(graph::apply_permutation(g, perm), dev, opts);

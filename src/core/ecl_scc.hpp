@@ -71,13 +71,6 @@ struct EclOptions {
   bool remove_scc_edges = true;
   bool path_compression = true;
   bool persistent_threads = true;
-  /// Use CAS atomic-max instead of the paper's atomic-free monotonic store.
-  bool use_atomic_max = false;
-  /// The 4-signature min/max variant the paper describes but rejects
-  /// (§3.3): also propagate minimum IDs, detecting at least TWO SCCs per
-  /// cluster per outer iteration at the cost of doubled signature memory.
-  /// Off by default, like the paper's shipped configuration.
-  bool min_max_signatures = false;
 
   // --- Tuning values of the post-paper paths (DESIGN.md §10, §11, §15).
   // Those paths are not options: chunked Phase-3 appends, frontier gating,

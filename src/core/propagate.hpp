@@ -75,14 +75,14 @@ struct SigView {
   vid vertex(std::uint32_t sig) const noexcept { return vertex_of ? vertex_of[sig] : sig; }
 };
 
-/// Signature store dispatch: the paper's atomic-free monotonic store or a
-/// CAS atomic max (§3.4). Under the delayed-visibility fault a store may be
-/// deferred: dropped this round but reported as movement when it would have
-/// changed the slot, so the propagation loop retries until it lands —
-/// exactly the lost-update tolerance the monotonic store relies on.
-/// Under the lost-update fault the store is dropped AND reported as no
-/// movement: the fixpoint silently converges short of the true one, which
-/// only the online certifier (core/verify.hpp) can detect downstream.
+/// The paper's atomic-free monotonic store (§3.4). Under the
+/// delayed-visibility fault a store may be deferred: dropped this round but
+/// reported as movement when it would have changed the slot, so the
+/// propagation loop retries until it lands — exactly the lost-update
+/// tolerance the monotonic store relies on. Under the lost-update fault the
+/// store is dropped AND reported as no movement: the fixpoint silently
+/// converges short of the true one, which only the online certifier
+/// (core/verify.hpp) can detect downstream.
 ///
 /// `owner` is the vertex whose signature the slot belongs to. Any reported
 /// movement — including a deferred store's, so the retry round still sees
@@ -93,33 +93,13 @@ struct SigView {
 /// (an exchange-raised value would have to re-stamp foreign epochs), the
 /// same convention chase_chain uses for its round stamps.
 inline bool store_max(const SigView& st, device::AtomicU32& slot, vid owner,
-                      std::uint32_t value, const EclOptions& opts,
-                      std::uint32_t round) noexcept {
+                      std::uint32_t value, std::uint32_t round) noexcept {
   bool moved;
   if (st.fault && st.fault->lose_store()) return false;
   if (st.fault && st.fault->defer_store())
     moved = value > slot.load(std::memory_order_relaxed);
   else
-    moved = opts.use_atomic_max ? device::atomic_fetch_max(slot, value)
-                                : device::racy_store_max(slot, value);
-  if (moved) {
-    if (round != 0) st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
-    if (st.tick != 0) st.sigs.mark(owner).store(st.tick, std::memory_order_relaxed);
-    if (st.bag) st.bag->insert(owner);
-  }
-  return moved;
-}
-
-inline bool store_min(const SigView& st, device::AtomicU32& slot, vid owner,
-                      std::uint32_t value, const EclOptions& opts,
-                      std::uint32_t round) noexcept {
-  bool moved;
-  if (st.fault && st.fault->lose_store()) return false;
-  if (st.fault && st.fault->defer_store())
-    moved = value < slot.load(std::memory_order_relaxed);
-  else
-    moved = opts.use_atomic_max ? device::atomic_fetch_min(slot, value)
-                                : device::racy_store_min(slot, value);
+    moved = device::racy_store_max(slot, value);
   if (moved) {
     if (round != 0) st.sigs.epoch(owner).store(round, std::memory_order_relaxed);
     if (st.tick != 0) st.sigs.mark(owner).store(st.tick, std::memory_order_relaxed);
@@ -146,10 +126,10 @@ inline bool propagate_edge(const SigView& st, graph::Edge e, const EclOptions& o
       const vid d = st.vertex(ou);
       if (d != u) {
         const std::uint32_t iu = st.sigs.vin(u).load(std::memory_order_relaxed);
-        any |= store_max(st, st.sigs.vin(d), d, iu, opts, round);
+        any |= store_max(st, st.sigs.vin(d), d, iu, round);
       }
     }
-    any |= store_max(st, st.sigs.vout(u), u, ov, opts, round);
+    any |= store_max(st, st.sigs.vout(u), u, ov, round);
   }
 
   // in[v] <- max(in[v], in[u])   (compressed: in[in[u]])
@@ -162,43 +142,10 @@ inline bool propagate_edge(const SigView& st, graph::Edge e, const EclOptions& o
       const vid a = st.vertex(iv);
       if (a != v) {
         const std::uint32_t ovv = st.sigs.vout(v).load(std::memory_order_relaxed);
-        any |= store_max(st, st.sigs.vout(a), a, ovv, opts, round);
+        any |= store_max(st, st.sigs.vout(a), a, ovv, round);
       }
     }
-    any |= store_max(st, st.sigs.vin(v), v, iu, opts, round);
-  }
-  return any;
-}
-
-/// Minimum-ID propagation for one edge (the 4-signature variant): the
-/// exact mirror of the maximum propagation, including path compression
-/// (min_in[min_in[u]] <= min_in[u] stays an ancestor-or-self of v).
-inline bool propagate_edge_min(const SigView& st, graph::Edge e, const EclOptions& opts,
-                               std::uint32_t round) noexcept {
-  const vid u = e.src;
-  const vid v = e.dst;
-  bool any = false;
-
-  std::uint32_t ov = st.sigs.min_out(v).load(std::memory_order_relaxed);
-  if (opts.path_compression) ov = st.sigs.min_out(ov).load(std::memory_order_relaxed);
-  const std::uint32_t ou = st.sigs.min_out(u).load(std::memory_order_relaxed);
-  if (ov < ou) {
-    if (opts.path_compression && ou != u) {
-      const std::uint32_t iu = st.sigs.min_in(u).load(std::memory_order_relaxed);
-      any |= store_min(st, st.sigs.min_in(ou), ou, iu, opts, round);
-    }
-    any |= store_min(st, st.sigs.min_out(u), u, ov, opts, round);
-  }
-
-  std::uint32_t iu = st.sigs.min_in(u).load(std::memory_order_relaxed);
-  if (opts.path_compression) iu = st.sigs.min_in(iu).load(std::memory_order_relaxed);
-  const std::uint32_t iv = st.sigs.min_in(v).load(std::memory_order_relaxed);
-  if (iu < iv) {
-    if (opts.path_compression && iv != v) {
-      const std::uint32_t ovv = st.sigs.min_out(v).load(std::memory_order_relaxed);
-      any |= store_min(st, st.sigs.min_out(iv), iv, ovv, opts, round);
-    }
-    any |= store_min(st, st.sigs.min_in(v), v, iu, opts, round);
+    any |= store_max(st, st.sigs.vin(v), v, iu, round);
   }
   return any;
 }
@@ -297,9 +244,7 @@ ChaseResult chase_chain(const SigView& st, const Links& links, graph::Edge e,
     if (w >= kManyLinks || !links.claim_forward(w, round)) break;
     --budget;
     ++r.steps;
-    bool any = propagate_edge(st, {u, w}, opts, round);
-    if (opts.min_max_signatures) any |= propagate_edge_min(st, {u, w}, opts, round);
-    if (!any) break;
+    if (!propagate_edge(st, {u, w}, opts, round)) break;
     ++r.moved;
     u = w;
     if (u == fwd_start) break;  // pure cycle: one lap saturates it
@@ -314,9 +259,7 @@ ChaseResult chase_chain(const SigView& st, const Links& links, graph::Edge e,
     if (w >= kManyLinks || !links.claim_backward(w, round)) break;
     --budget;
     ++r.steps;
-    bool any = propagate_edge(st, {w, v}, opts, round);
-    if (opts.min_max_signatures) any |= propagate_edge_min(st, {w, v}, opts, round);
-    if (!any) break;
+    if (!propagate_edge(st, {w, v}, opts, round)) break;
     ++r.moved;
     v = w;
     if (v == bwd_start) break;

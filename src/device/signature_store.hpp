@@ -3,13 +3,12 @@
 
 // Signature state layout (§3.4 + DESIGN.md §10).
 //
-// ECL-SCC's per-vertex state — the vin/vout max signatures, the optional
-// min_in/min_out pair of the 4-signature variant, the frontier-gating
-// epoch stamp and the in-block pass mark — lives in one 64-byte-aligned
-// slot per vertex. A writer dirties only its own vertex's cache line, so
-// pool threads updating different vertices never false-share, and the
-// fields an edge visit touches together (vin+vout+epoch+mark of one
-// endpoint) arrive on one line.
+// ECL-SCC's per-vertex state — the vin/vout max signatures, the
+// frontier-gating epoch stamp and the in-block pass mark, 16 bytes — lives
+// in one 64-byte-aligned slot per vertex. A writer dirties only its own
+// vertex's cache line, so pool threads updating different vertices never
+// false-share, and the fields an edge visit touches together
+// (vin+vout+epoch+mark of one endpoint) arrive on one line.
 //
 // Every field is an AtomicU32 accessed with the relaxed-order store helpers
 // in device/atomics.hpp, preserving the benign-race semantics the paper's
@@ -26,14 +25,12 @@ class SignatureStore {
  public:
   SignatureStore() = default;
 
-  /// Allocates state for n vertices. Every slot has room for the
-  /// 4-signature min_in/min_out pair, the epoch stamp and the pass mark.
+  /// Allocates state for n vertices: both signatures, the epoch stamp and
+  /// the pass mark.
   explicit SignatureStore(std::uint32_t n) : slots_(std::make_unique<Slot[]>(n)) {}
 
   AtomicU32& vin(std::uint32_t v) noexcept { return slots_[v].vin; }
   AtomicU32& vout(std::uint32_t v) noexcept { return slots_[v].vout; }
-  AtomicU32& min_in(std::uint32_t v) noexcept { return slots_[v].min_in; }
-  AtomicU32& min_out(std::uint32_t v) noexcept { return slots_[v].min_out; }
 
   /// Frontier-gating stamp: the last global propagation round in which any
   /// signature of v moved (0 = never).
@@ -57,8 +54,6 @@ class SignatureStore {
   struct alignas(64) Slot {
     AtomicU32 vin{0};
     AtomicU32 vout{0};
-    AtomicU32 min_in{0};
-    AtomicU32 min_out{0};
     AtomicU32 epoch{0};
     AtomicU32 mark{0};
   };

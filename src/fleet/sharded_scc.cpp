@@ -805,20 +805,18 @@ std::vector<vid> shard_cuts(const Digraph& g, unsigned shards) {
 SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& opts) {
   const unsigned num_shards = std::max(1u, opts.shards);
 
-  // Min/max signatures are forced off: the min side would need its own
-  // exchange. For K <= 1 the run is the single-device solver with its
-  // defaults (frontier gating, the hash bag, the gated hub reorder); for
-  // K > 1 the per-shard kernels never reorder (run_sharded_once has no
-  // whole-graph permutation), pass round 0 so no frontier epoch is stamped
-  // (an exchange-raised value would have to re-stamp foreign epochs), and
-  // run no hash bag (a shard's bag cannot see exchange-raised boundary
-  // values). Chain chasing runs per shard: each shard's index covers only
-  // its owned edges, so the boundary exchange remains the sole cross-shard
-  // channel. The checkpoint config is forwarded: for K > 1 the coordinator
-  // runs its own exchange-barrier checkpoints, and for K <= 1 it reaches
-  // the single-device engine's resume machinery.
-  EclOptions eo = opts.ecl;
-  eo.min_max_signatures = false;
+  // For K <= 1 the run is the single-device solver with its defaults
+  // (frontier gating, the hash bag, the gated hub reorder); for K > 1 the
+  // per-shard kernels never reorder (run_sharded_once has no whole-graph
+  // permutation), pass round 0 so no frontier epoch is stamped (an
+  // exchange-raised value would have to re-stamp foreign epochs), and run
+  // no hash bag (a shard's bag cannot see exchange-raised boundary values).
+  // Chain chasing runs per shard: each shard's index covers only its owned
+  // edges, so the boundary exchange remains the sole cross-shard channel.
+  // The checkpoint config is forwarded: for K > 1 the coordinator runs its
+  // own exchange-barrier checkpoints, and for K <= 1 it reaches the
+  // single-device engine's resume machinery.
+  const EclOptions& eo = opts.ecl;
 
   const auto attempt = [&]() -> SccResult {
     if (num_shards <= 1) {

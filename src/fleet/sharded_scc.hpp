@@ -73,10 +73,10 @@ struct ShardedOptions {
   /// sequentially within each lockstep step). K <= 1 runs single-device on
   /// one pool device, with the same certification ladder.
   unsigned shards = 2;
-  /// Kernel options for the per-shard phases. min_max_signatures is forced
-  /// off, and for K > 1 the per-shard checkpoint machinery is replaced by
-  /// the coordinator's (the coordinator owns the outer control loop; the
-  /// options that remain preserve bit-identical labels).
+  /// Kernel options for the per-shard phases. For K > 1 the per-shard
+  /// checkpoint machinery is replaced by the coordinator's (the coordinator
+  /// owns the outer control loop; the options that remain preserve
+  /// bit-identical labels).
   scc::EclOptions ecl;
   /// Run the PR-6 certifier on the stitched labels and escalate through the
   /// recovery ladder on failure.

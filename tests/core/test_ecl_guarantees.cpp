@@ -116,16 +116,5 @@ TEST(EclGuarantees, ParallelVersionMatchesIterationModel) {
   EXPECT_EQ(scc::ecl_scc(max_at_head_path(30)).metrics.outer_iterations, 3u);
 }
 
-TEST(EclGuarantees, MinMaxVariantSavesAnIterationOnMaxAtHeadPath) {
-  // With min signatures too, iteration 1 additionally detects the min SCC
-  // (the vertex with ID 0, right behind the head) and splits the
-  // increasing remainder by its min signatures: 2 iterations instead of 3.
-  scc::EclOptions opts;
-  opts.min_max_signatures = true;
-  const auto r = scc::ecl_scc(max_at_head_path(40), opts);
-  EXPECT_EQ(r.num_components, 40u);
-  EXPECT_EQ(r.metrics.outer_iterations, 2u);
-}
-
 }  // namespace
 }  // namespace ecl::test

@@ -221,15 +221,6 @@ TEST(SolverDifferential, HubGateFiresOnSkewedInputOnly) {
   ASSERT_TRUE(mesh.ok());
   EXPECT_FALSE(mesh.metrics.hub_reorder_applied) << "the gate must decline a mesh-like graph";
   EXPECT_EQ(mesh.labels, tarjan_max_labels(mesh_like().graph));
-
-  // min_max_signatures names by minimum member, which the max-member remap
-  // cannot reproduce: the gate must stand down there.
-  EclOptions min_max;
-  min_max.min_max_signatures = true;
-  const SccResult mm = scc::ecl_scc(rmat_10().graph, dev, min_max);
-  ASSERT_TRUE(mm.ok());
-  EXPECT_FALSE(mm.metrics.hub_reorder_applied);
-  EXPECT_TRUE(scc::same_partition(mm.labels, tarjan_max_labels(rmat_10().graph)));
 }
 
 TEST(SolverDifferential, GateSkipsEdgesAndCountsThem) {
@@ -343,18 +334,16 @@ TEST(SolverDifferential, ForcedSparseRoundsMatchTarjanMaxLabels) {
   }
 }
 
-/// The three worklist regimes the cluster-key membership rule (DESIGN.md
-/// §15) must reproduce: default, a second key under min_max_signatures,
-/// and completed SCCs' edges kept with remove_scc_edges off.
+/// The two worklist regimes the cluster-key membership rule (DESIGN.md
+/// §15) must reproduce: default, and completed SCCs' edges kept with
+/// remove_scc_edges off.
 std::vector<std::pair<std::string, EclOptions>> membership_modes() {
   EclOptions forced;
   forced.hashbag_density = 1.0;  // every eligible round goes sparse
   forced.chain_density = 2.0;    // every round below m chases
-  EclOptions min_max = forced;
-  min_max.min_max_signatures = true;
   EclOptions keep_edges = forced;
   keep_edges.remove_scc_edges = false;
-  return {{"default", forced}, {"min_max", min_max}, {"keep_scc_edges", keep_edges}};
+  return {{"default", forced}, {"keep_scc_edges", keep_edges}};
 }
 
 TEST(SolverDifferential, ForcedSparseAndChasePathsMatchTarjanInEveryModeUnderChaos) {
@@ -374,10 +363,7 @@ TEST(SolverDifferential, ForcedSparseAndChasePathsMatchTarjanInEveryModeUnderCha
         device::Device dev(solver_profile(plan), /*workers=*/seed == 0 ? 1 : 4);
         const SccResult r = scc::ecl_scc(family.graph, dev, opts);
         const std::string where = family.name + " " + mode + " " + plan.describe();
-        if (opts.min_max_signatures)
-          EXPECT_TRUE(scc::same_partition(r.labels, oracle)) << where;
-        else
-          EXPECT_EQ(r.labels, oracle) << where;
+        EXPECT_EQ(r.labels, oracle) << where;
         if (seed != 0) continue;
         // Fault-free, one worker: the forced paths must really have run.
         // Every input chases; the six small families also go sparse (a
@@ -457,16 +443,9 @@ TEST(SolverDifferential, PrioritySwitchStaysOffWhereItIsNotDue) {
     ASSERT_TRUE(r.ok()) << family.name;
     EXPECT_EQ(r.metrics.priority_switch_iteration, 0u) << family.name;
   }
-  // The two options that forbid the switch, on graphs where it is due.
+  // The option that forbids the switch, on graphs where it is due.
   for (const auto& family : switching_families()) {
     const std::vector<vid> oracle = tarjan_max_labels(family.graph);
-    EclOptions min_max;
-    min_max.min_max_signatures = true;
-    const SccResult mm = scc::ecl_scc(family.graph, dev, min_max);
-    ASSERT_TRUE(mm.ok()) << family.name;
-    EXPECT_EQ(mm.metrics.priority_switch_iteration, 0u) << family.name << " min_max";
-    EXPECT_TRUE(scc::same_partition(mm.labels, oracle)) << family.name << " min_max";
-
     EclOptions keep_edges;
     keep_edges.remove_scc_edges = false;
     const SccResult kept = scc::ecl_scc(family.graph, dev, keep_edges);

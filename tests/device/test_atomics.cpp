@@ -10,39 +10,12 @@ namespace {
 
 using device::AtomicU32;
 
-TEST(Atomics, FetchMaxRaisesValue) {
-  AtomicU32 slot{5};
-  EXPECT_TRUE(device::atomic_fetch_max(slot, 9));
-  EXPECT_EQ(slot.load(), 9u);
-}
-
-TEST(Atomics, FetchMaxIgnoresSmaller) {
-  AtomicU32 slot{5};
-  EXPECT_FALSE(device::atomic_fetch_max(slot, 3));
-  EXPECT_FALSE(device::atomic_fetch_max(slot, 5));
-  EXPECT_EQ(slot.load(), 5u);
-}
-
 TEST(Atomics, RacyStoreMaxRaisesValue) {
   AtomicU32 slot{5};
   EXPECT_TRUE(device::racy_store_max(slot, 9));
   EXPECT_EQ(slot.load(), 9u);
   EXPECT_FALSE(device::racy_store_max(slot, 2));
   EXPECT_EQ(slot.load(), 9u);
-}
-
-TEST(Atomics, ConcurrentFetchMaxConvergesToMaximum) {
-  // atomic_fetch_max is exact under contention: the maximum always wins.
-  AtomicU32 slot{0};
-  std::vector<std::thread> threads;
-  for (unsigned t = 0; t < 8; ++t) {
-    threads.emplace_back([&slot, t] {
-      for (std::uint32_t i = 0; i < 10'000; ++i)
-        device::atomic_fetch_max(slot, t * 10'000 + i);
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(slot.load(), 7u * 10'000 + 9'999);
 }
 
 TEST(Atomics, RacyStoreMaxIsMonotonePerRoundWithRetry) {
@@ -68,27 +41,6 @@ TEST(Atomics, RacyStoreMaxIsMonotonePerRoundWithRetry) {
     ASSERT_LT(rounds, 100);
   }
   EXPECT_EQ(slot.load(), 99u);
-}
-
-}  // namespace
-}  // namespace ecl::test
-
-namespace ecl::test {
-namespace {
-
-TEST(Atomics, FetchMinLowersValue) {
-  device::AtomicU32 slot{10};
-  EXPECT_TRUE(device::atomic_fetch_min(slot, 3));
-  EXPECT_EQ(slot.load(), 3u);
-  EXPECT_FALSE(device::atomic_fetch_min(slot, 7));
-  EXPECT_EQ(slot.load(), 3u);
-}
-
-TEST(Atomics, RacyStoreMinLowersValue) {
-  device::AtomicU32 slot{10};
-  EXPECT_TRUE(device::racy_store_min(slot, 4));
-  EXPECT_FALSE(device::racy_store_min(slot, 9));
-  EXPECT_EQ(slot.load(), 4u);
 }
 
 }  // namespace
