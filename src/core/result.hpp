@@ -72,18 +72,12 @@ struct SccMetrics {
   /// chains collapsed into one worker's local walk (each collapse saves a
   /// whole propagation round for that chain), steps taken across all of
   /// them, and the longest single chase. Hash bag: Phase-2 rounds served
-  /// from the sparse mover bag instead of a dense worklist sweep.
-  /// Multi-pivot FB: forward/backward rounds that ran with >1 pivot, total
-  /// pivots selected across all rounds, and the mean pivots per round
-  /// (over ALL fb rounds, single-pivot ones included). All zero when the
-  /// corresponding path never engaged.
+  /// from the sparse mover bag instead of a dense worklist sweep. All zero
+  /// when the corresponding path never engaged.
   std::uint64_t chains_collapsed = 0;
   std::uint64_t chain_steps = 0;
   std::uint64_t max_chain_len = 0;
   std::uint64_t hashbag_rounds = 0;
-  std::uint64_t multi_pivot_rounds = 0;
-  std::uint64_t pivots_selected = 0;
-  double pivots_per_round = 0.0;
   /// Edges dropped by worklist appends past capacity (EdgeWorklist::
   /// dropped_edges()): the real loss behind SccStatus::kWorklistOverflow.
   std::uint64_t edges_dropped = 0;

@@ -12,13 +12,12 @@
 //    array (one work unit per item): contiguous, equal-size spans, so the
 //    grid scans the array exactly once in order instead of in
 //    block-strided chunks.
-//  * owner_of / for_each_item_span — the CSR form: given an offsets array
-//    (offsets[i]..offsets[i+1] = item i's work units, e.g. a frontier's
-//    degree prefix sums), a block binary-searches the single item that owns
-//    the start of its span (one upper_bound per block — no precomputed
-//    per-edge array) and then walks items forward until the span is
-//    consumed. This is the merge-path diagonal split of Green et al.
-//    specialized to the one-list case.
+//  * owner_of — the CSR form: given an offsets array (offsets[i]..
+//    offsets[i+1] = item i's work units, e.g. a graph's CSR offsets), one
+//    upper_bound finds the single item that owns a work unit, with no
+//    precomputed per-edge array. This is the merge-path diagonal split of
+//    Green et al. specialized to the one-list case; shard_cuts uses it to
+//    cut a graph into equal-edge vertex ranges.
 //
 // All helpers are pure functions of (block, grid, offsets); they are safe
 // to call concurrently from kernels.
@@ -59,25 +58,6 @@ template <typename OffsetT>
 std::size_t owner_of(std::span<const OffsetT> offsets, std::uint64_t k) noexcept {
   const auto it = std::upper_bound(offsets.begin(), offsets.end(), static_cast<OffsetT>(k));
   return static_cast<std::size_t>(it - offsets.begin()) - 1;
-}
-
-/// Calls fn(item, lo, hi) for every item whose work range intersects
-/// `span`, where [lo, hi) is the intersection in GLOBAL work coordinates
-/// (item i's local unit j sits at offsets[i] + j). Zero-work items are
-/// never reported. One upper_bound total, then a forward walk.
-template <typename OffsetT, typename Fn>
-void for_each_item_span(std::span<const OffsetT> offsets, EdgeSpan span, Fn&& fn) {
-  if (span.empty() || offsets.size() < 2) return;
-  std::size_t item = owner_of(offsets, span.begin);
-  std::uint64_t pos = span.begin;
-  const std::size_t items = offsets.size() - 1;
-  while (pos < span.end && item < items) {
-    const auto item_end = static_cast<std::uint64_t>(offsets[item + 1]);
-    const std::uint64_t hi = std::min(span.end, item_end);
-    if (pos < hi) fn(item, pos, hi);
-    pos = std::max(pos, hi);
-    ++item;
-  }
 }
 
 }  // namespace ecl::device

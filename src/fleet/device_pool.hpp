@@ -66,7 +66,9 @@ class DevicePool {
   const service::BackendHealthRegistry& health() const noexcept { return *health_; }
 
   /// Quarantine gate / fault report for device i, forwarded to the registry.
+  /// admits() asks the gate without spending a probation probe.
   bool allow(std::size_t i) { return health_->allow(i); }
+  bool admits(std::size_t i) const { return health_->admits(i); }
   void record(std::size_t i, service::FaultKind kind) { health_->record(i, kind); }
 
   /// Device names ("device-0", ...), index-aligned with at().

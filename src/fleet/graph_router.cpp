@@ -26,42 +26,48 @@ GraphRouter::GraphRouter(DevicePool& pool, double affinity_slack)
 
 GraphRouter::Lease GraphRouter::place(std::uint64_t estimated_work,
                                       std::uint64_t affinity_key) {
-  // The quarantine gate mutates breaker state (half-open probe admission),
-  // so query it outside our lock in a fixed pass.
-  std::vector<char> allowed(pool_.size(), 1);
-  bool any_allowed = false;
-  for (std::size_t i = 0; i < pool_.size(); ++i) {
-    allowed[i] = pool_.allow(i) ? 1 : 0;
-    any_allowed = any_allowed || allowed[i];
-  }
+  // The scan asks the quarantine gate without spending a probation probe.
+  std::vector<char> admitted(pool_.size(), 0);
+  for (std::size_t i = 0; i < pool_.size(); ++i) admitted[i] = pool_.admits(i) ? 1 : 0;
 
   std::lock_guard lock(mutex_);
-  std::size_t least = 0;
-  bool found = false;
-  for (std::size_t i = 0; i < load_.size(); ++i) {
-    if (any_allowed && !allowed[i]) continue;
-    if (!found || load_[i] < load_[least]) {
-      least = i;
-      found = true;
+  for (;;) {
+    const bool any_admitted = std::find(admitted.begin(), admitted.end(), 1) != admitted.end();
+    std::size_t least = 0;
+    bool found = false;
+    for (std::size_t i = 0; i < load_.size(); ++i) {
+      if (any_admitted && !admitted[i]) continue;
+      if (!found || load_[i] < load_[least]) {
+        least = i;
+        found = true;
+      }
     }
-  }
 
-  std::size_t chosen = least;
-  if (affinity_key != kNoAffinity) {
-    const auto it = affinity_.find(affinity_key);
-    if (it != affinity_.end() && (!any_allowed || allowed[it->second])) {
-      // Keep the sticky device while it has not fallen too far behind. The
-      // incoming work is added to the threshold so an idle fleet (all loads
-      // zero) always honors affinity.
-      const double threshold =
-          affinity_slack_ * static_cast<double>(load_[least] + estimated_work);
-      if (static_cast<double>(load_[it->second]) <= threshold) chosen = it->second;
+    std::size_t chosen = least;
+    if (affinity_key != kNoAffinity) {
+      const auto it = affinity_.find(affinity_key);
+      if (it != affinity_.end() && (!any_admitted || admitted[it->second])) {
+        // Keep the sticky device while it has not fallen too far behind. The
+        // incoming work is added to the threshold so an idle fleet (all loads
+        // zero) always honors affinity.
+        const double threshold =
+            affinity_slack_ * static_cast<double>(load_[least] + estimated_work);
+        if (static_cast<double>(load_[it->second]) <= threshold) chosen = it->second;
+      }
     }
-    affinity_[affinity_key] = chosen;
-  }
 
-  load_[chosen] += estimated_work;
-  return Lease(this, chosen, estimated_work);
+    // Only the chosen device's admission is taken, spending its probe when
+    // it is in probation. A device that stopped admitting since the scan (a
+    // concurrent placement took its probe) drops out, and the choice is
+    // made again.
+    if (any_admitted && !pool_.allow(chosen)) {
+      admitted[chosen] = 0;
+      continue;
+    }
+    if (affinity_key != kNoAffinity) affinity_[affinity_key] = chosen;
+    load_[chosen] += estimated_work;
+    return Lease(this, chosen, estimated_work);
+  }
 }
 
 GraphRouter::Lease GraphRouter::adopt(std::size_t device, std::uint64_t estimated_work) {
@@ -73,13 +79,13 @@ GraphRouter::Lease GraphRouter::adopt(std::size_t device, std::uint64_t estimate
 GraphRouter::Lease GraphRouter::place_excluding(std::uint64_t estimated_work,
                                                 const std::vector<char>& excluded) {
   const auto is_excluded = [&](std::size_t i) { return i < excluded.size() && excluded[i]; };
-  // As in place(): the quarantine gate mutates breaker state, so query it
-  // outside our lock — but never for excluded devices (admitting a probe to
-  // an ejected device would undo the ejection's point).
+  // The scan spends no probation probe, here or on the chosen device: the
+  // sharded engine, the one caller, records a served run's success for the
+  // devices it ran on. An excluded device is never asked.
   std::vector<char> allowed(pool_.size(), 0);
   bool any_allowed = false;
   for (std::size_t i = 0; i < pool_.size(); ++i) {
-    allowed[i] = (!is_excluded(i) && pool_.allow(i)) ? 1 : 0;
+    allowed[i] = (!is_excluded(i) && pool_.admits(i)) ? 1 : 0;
     any_allowed = any_allowed || allowed[i];
   }
 

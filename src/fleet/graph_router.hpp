@@ -20,7 +20,9 @@
 // Devices quarantined by the pool's health registry are skipped; if every
 // device is quarantined the least-loaded one is used anyway (serving
 // somewhere beats serving nowhere — the same last-resort rule the service's
-// backend chain applies).
+// backend chain applies). A device in probation keeps its one probe until
+// place() gives it a lease; whoever holds that lease records the outcome of
+// the work it runs there, which readmits or re-quarantines the device.
 //
 // Placement returns an RAII Lease: the estimated work is added to the
 // device's in-flight load on placement and released on destruction.
@@ -70,7 +72,9 @@ class GraphRouter {
 
   /// Places a graph of `estimated_work` (edges is the natural unit) onto a
   /// device. `affinity_key` identifies the recurring stream (tenant,
-  /// ordinate); kNoAffinity always takes the least-loaded device.
+  /// ordinate); kNoAffinity always takes the least-loaded device. The lease
+  /// holds the device's admission (its probe, when it is in probation), so
+  /// the caller owes the pool an outcome for the device (DevicePool::record).
   Lease place(std::uint64_t estimated_work, std::uint64_t affinity_key = kNoAffinity);
 
   /// Registers work the caller has already assigned to `device` (the
@@ -85,7 +89,8 @@ class GraphRouter {
   /// never chosen even when every other device is quarantined, and the
   /// returned Lease is invalid when every device is excluded. Among the
   /// non-excluded devices the usual rules apply (admitted preferred,
-  /// least-loaded wins).
+  /// least-loaded wins). No probation probe is spent: the caller records a
+  /// served run's success for the devices it runs on.
   Lease place_excluding(std::uint64_t estimated_work, const std::vector<char>& excluded);
 
   /// Current in-flight work per device (test/stats visibility).

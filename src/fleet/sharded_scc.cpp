@@ -153,8 +153,10 @@ void merge_recovery_metrics(SccMetrics& into, const SccMetrics& from) {
 }
 
 /// One full lockstep sharded run (no certification — the ladder wraps it).
+/// `holders` receives the devices that hold a shard when the run ends.
 SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shards,
-                           const ShardedOptions& opts, const EclOptions& eo) {
+                           const ShardedOptions& opts, const EclOptions& eo,
+                           std::vector<std::size_t>& holders) {
   const vid n = g.num_vertices();
   SccResult result;
   result.metrics.shards = num_shards;
@@ -162,10 +164,12 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
 
   // Devices admitted by the pool's health registry; a fully-quarantined
   // pool still serves (somewhere beats nowhere — the service chain's rule),
-  // with the last-resort decision flagged rather than implicit.
+  // with the last-resort decision flagged rather than implicit. The scan
+  // spends no probation probe: a served attempt records a success for the
+  // devices that hold a shard at its end (sharded_scc).
   std::vector<std::size_t> admitted;
   for (std::size_t i = 0; i < pool.size(); ++i)
-    if (pool.allow(i)) admitted.push_back(i);
+    if (pool.admits(i)) admitted.push_back(i);
   if (admitted.empty()) {
     result.metrics.pool_last_resort = true;
     for (std::size_t i = 0; i < pool.size(); ++i) admitted.push_back(i);
@@ -563,7 +567,8 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
   };
 
   // Iteration-boundary poll: a device quarantined mid-run (straggler
-  // records, concurrent recorders) is ejected here. Its replica is deemed
+  // records, concurrent recorders) is ejected here; one in probation keeps
+  // its shard, whose outcome decides its readmission. Its replica is deemed
   // lost with it, so after re-homing the last checkpoint is restored — the
   // boundary state itself is quiescent, but work done by a now-distrusted
   // device since the snapshot is not worth standing on. Returns 0 = nothing
@@ -573,7 +578,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
     bool any = false;
     for (const Shard& sh : shards) {
       if (ejected[sh.device]) continue;
-      if (!pool.allow(sh.device)) {
+      if (pool.health().health(sh.device) == service::BackendHealth::kQuarantined) {
         ejected[sh.device] = 1;
         any = true;
       }
@@ -768,6 +773,10 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
   for (std::size_t i = 0; i < pool.size(); ++i)
     result.metrics.kernel_launches += pool.at(i).stats().kernel_launches - launches_before[i];
 
+  for (const Shard& sh : shards)
+    if (std::find(holders.begin(), holders.end(), sh.device) == holders.end())
+      holders.push_back(sh.device);
+
   result.labels = std::move(labels);
   // The fleet contract is always-complete labels (the labeled set at any
   // break is a union of complete SCCs, so the residual solves independently).
@@ -818,7 +827,10 @@ SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& 
   // single-device engine's resume machinery.
   const EclOptions& eo = opts.ecl;
 
+  // Devices that held a shard at the end of the latest attempt.
+  std::vector<std::size_t> holders;
   const auto attempt = [&]() -> SccResult {
+    holders.clear();
     if (num_shards <= 1) {
       // Degenerate fleet: whole graph on the first admitted device, same
       // kernels, same certification ladder. When NO device is admitted this
@@ -828,13 +840,14 @@ SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& 
       std::size_t index = 0;
       bool any_admitted = false;
       for (std::size_t i = 0; i < pool.size(); ++i)
-        if (pool.allow(i)) {
+        if (pool.admits(i)) {
           index = i;
           any_admitted = true;
           break;
         }
       EclOptions single = eo;
       single.checkpoint = opts.checkpoint;
+      holders.push_back(index);
       SccResult r = scc::ecl_scc(g, pool.at(index), single);
       r.metrics.shards = 1;
       r.metrics.pool_last_resort = !any_admitted;
@@ -845,11 +858,21 @@ SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& 
     // replica and break lockstep).
     EclOptions sharded_eo = eo;
     sharded_eo.checkpoint.enabled = false;
-    return run_sharded_once(g, pool, num_shards, opts, sharded_eo);
+    return run_sharded_once(g, pool, num_shards, opts, sharded_eo, holders);
+  };
+  // A served attempt's success readmits a device in probation and dilutes
+  // straggler records in each holder's window. A failed one records
+  // nothing: a lockstep failure names no single device (failover and
+  // straggler migration record their own blame), and admission spent no
+  // probe, so a device in probation is admitted again by the rerun.
+  const auto served = [&](SccResult r) {
+    if (r.ok())
+      for (const std::size_t d : holders) pool.record(d, service::FaultKind::kNone);
+    return r;
   };
 
   SccResult result = attempt();
-  if (!opts.certify) return result;
+  if (!opts.certify) return served(std::move(result));
 
   // Satellite fix: ONE reverse adjacency for the whole ladder — the
   // stitched certificate and every recovery rung share it (previously each
@@ -861,13 +884,13 @@ SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& 
     reverse = &*local_reverse;
   }
 
-  if (certified(g, result, reverse)) return result;
+  if (certified(g, result, reverse)) return served(std::move(result));
 
   for (unsigned attempt_index = 0; attempt_index < opts.fresh_reruns; ++attempt_index) {
     SccResult rerun = attempt();
     merge_recovery_metrics(rerun.metrics, result.metrics);
     ++rerun.metrics.fresh_reruns;
-    if (certified(g, rerun, reverse)) return rerun;
+    if (certified(g, rerun, reverse)) return served(std::move(rerun));
     result = std::move(rerun);
   }
 

@@ -122,7 +122,10 @@ struct ShardedOptions {
 /// complete labeling (max-member IDs, bit-identical to single-device
 /// ecl_scc); `error` carries what was survived when a ladder rung or the
 /// watchdog tripped. SccMetrics::shards / boundary_vertices /
-/// exchange_rounds report the fleet accounting.
+/// exchange_rounds report the fleet accounting. An attempt that converged
+/// without error (and certified, with `certify` on) records a success in
+/// the pool's health registry for every device that held a shard.
+/// Admission spends no probation probe.
 SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& opts = {});
 
 /// The edge-balanced contiguous vertex cuts used to partition `g` into K

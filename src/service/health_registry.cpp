@@ -77,21 +77,26 @@ void BackendHealthRegistry::refresh_locked(const Entry& e, Clock::time_point now
   }
 }
 
+bool BackendHealthRegistry::admits_locked(const Entry& e) const {
+  return e.health == BackendHealth::kHealthy ||
+         (e.health == BackendHealth::kProbation &&
+          e.probes_issued < config_.breaker.half_open_probes);
+}
+
 bool BackendHealthRegistry::allow(std::size_t backend, Clock::time_point now) {
   Entry& e = *entries_.at(backend);
   std::lock_guard lock(e.mutex);
   refresh_locked(e, now);
-  switch (e.health) {
-    case BackendHealth::kHealthy: return true;
-    case BackendHealth::kQuarantined: return false;
-    case BackendHealth::kProbation:
-      if (e.probes_issued < config_.breaker.half_open_probes) {
-        ++e.probes_issued;
-        return true;
-      }
-      return false;
-  }
-  return false;
+  if (!admits_locked(e)) return false;
+  if (e.health == BackendHealth::kProbation) ++e.probes_issued;
+  return true;
+}
+
+bool BackendHealthRegistry::admits(std::size_t backend, Clock::time_point now) const {
+  const Entry& e = *entries_.at(backend);
+  std::lock_guard lock(e.mutex);
+  refresh_locked(e, now);
+  return admits_locked(e);
 }
 
 void BackendHealthRegistry::record(std::size_t backend, FaultKind kind, Clock::time_point now) {

@@ -117,6 +117,12 @@ class BackendHealthRegistry {
   /// probation and admits up to half_open_probes callers.
   bool allow(std::size_t backend, Clock::time_point now = Clock::now());
 
+  /// True when allow() would admit a request right now (a healthy backend,
+  /// or one in probation whose probe is still unissued), without issuing
+  /// the probe. A scan that picks one of several backends asks this, and
+  /// calls allow() only on the backend it picks.
+  bool admits(std::size_t backend, Clock::time_point now = Clock::now()) const;
+
   /// Outcome feedback from a routed request. kNone is a success; anything
   /// else contributes its taxonomy weight to the backend's window score.
   void record(std::size_t backend, FaultKind kind, Clock::time_point now = Clock::now());
@@ -154,6 +160,9 @@ class BackendHealthRegistry {
   /// Applies the quarantined -> probation cool-down transition; callers
   /// hold e.mutex.
   void refresh_locked(const Entry& e, Clock::time_point now) const;
+  /// The admission rule shared by allow() and admits(); callers hold
+  /// e.mutex and have refreshed e.
+  bool admits_locked(const Entry& e) const;
 
   HealthConfig config_;
   std::vector<std::unique_ptr<Entry>> entries_;

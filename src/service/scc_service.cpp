@@ -160,26 +160,13 @@ void SccService::worker_loop() {
   // Legacy topology: each worker owns its own virtual device (launch is not
   // re-entrant across threads, and a per-worker device also gives every
   // worker the same chaos plan independently). Pool mode replaces this with
-  // router-leased shared devices.
+  // shared devices, taken only by the work that runs on them: try_fresh
+  // leases one, try_sharded takes them all.
   std::optional<device::Device> own;
   if (!pool_) own.emplace(config_.device_profile, config_.device_workers);
   while (auto item = queue_->pop()) {
     Pending& pending = **item;
-    Response response;
-    if (pool_) {
-      // Whole-request placement: the router picks the least-loaded healthy
-      // device, weighting label computes by graph size and point queries as
-      // unit work. The lease's RAII release keeps the load ledger honest
-      // even when processing throws.
-      const std::uint64_t estimate = pending.request.kind == RequestKind::kSccLabels
-                                         ? std::max<std::uint64_t>(1, engine_->num_vertices())
-                                         : 1;
-      fleet::GraphRouter::Lease lease = router_->place(estimate);
-      response = process(pending, pool_->at(lease.device_index()), lease.device_index());
-    } else {
-      response = process(pending, *own, kNoPoolDevice);
-    }
-    pending.promise.set_value(std::move(response));
+    pending.promise.set_value(process(pending, own ? &*own : nullptr));
   }
   if (!own) return;  // pool devices outlive workers; stats stay live
   // Fold this worker's device launch statistics (including the per-block
@@ -218,7 +205,7 @@ std::vector<std::pair<std::string, device::LaunchStats>> SccService::pool_device
   return per_device;
 }
 
-Response SccService::process(Pending& pending, device::Device& dev, std::size_t pool_index) {
+Response SccService::process(Pending& pending, device::Device* own) {
   Response response;
   response.served_by.queue_seconds =
       std::chrono::duration<double>(ServiceClock::now() - pending.enqueued_at).count();
@@ -234,7 +221,7 @@ Response SccService::process(Pending& pending, device::Device& dev, std::size_t 
   Timer compute;
   try {
     switch (request.kind) {
-      case RequestKind::kSccLabels: serve_labels(pending, dev, pool_index, response); break;
+      case RequestKind::kSccLabels: serve_labels(pending, own, response); break;
       case RequestKind::kCondensation: serve_condensation(response); break;
       case RequestKind::kReachabilityQuery: serve_reachability(pending, response); break;
       case RequestKind::kUpdateBatch: serve_update_batch(pending, response); break;
@@ -251,8 +238,7 @@ Response SccService::process(Pending& pending, device::Device& dev, std::size_t 
   return response;
 }
 
-void SccService::serve_labels(Pending& pending, device::Device& dev, std::size_t pool_index,
-                              Response& response) {
+void SccService::serve_labels(Pending& pending, device::Device* own, Response& response) {
   const Request& request = pending.request;
   ServedBy& sb = response.served_by;
 
@@ -263,7 +249,7 @@ void SccService::serve_labels(Pending& pending, device::Device& dev, std::size_t
   // pool. A failed sharded attempt falls through to the per-device backend
   // chain, then the degradation ladder — the tiers compose.
   if (!overloaded && pool_ && config_.shards > 1 && try_sharded(pending, response)) return;
-  if (!overloaded && try_fresh(pending, dev, pool_index, response)) return;
+  if (!overloaded && try_fresh(pending, own, response)) return;
 
   const bool expired = request.has_deadline() && ServiceClock::now() >= request.deadline;
   if (!config_.enable_degradation) {
@@ -372,10 +358,15 @@ void SccService::serve_update_batch(Pending& pending, Response& response) {
   response.status = ServiceStatus::kOk;
 }
 
-bool SccService::try_fresh(Pending& pending, device::Device& dev, std::size_t pool_index,
-                           Response& response) {
+bool SccService::try_fresh(Pending& pending, device::Device* own, Response& response) {
   const Request& request = pending.request;
   ServedBy& sb = response.served_by;
+
+  // Pool mode: the first device-backed attempt leases the least-loaded
+  // admitted device, weighted by graph size, for the rest of the request.
+  // The lease spends the probe of a device in probation, and every
+  // device-backed outcome below is recorded against it.
+  fleet::GraphRouter::Lease lease;
 
   // Decorrelated, reproducible jitter stream per request.
   std::uint64_t seed_state = config_.seed ^ (pending.id * 0x9e3779b97f4a7c15ULL);
@@ -406,19 +397,25 @@ bool SccService::try_fresh(Pending& pending, device::Device& dev, std::size_t po
       {
         // Pool devices are shared across workers and launch is not
         // re-entrant: hold the leased device's guard for the run. Backends
-        // that never touch the device (tarjan, ecl-omp) skip it.
+        // that never touch the device (tarjan, ecl-omp) take neither.
+        device::Device* dev = own;
         std::unique_lock<std::mutex> device_guard;
-        if (pool_index != kNoPoolDevice && device_backed)
-          device_guard = pool_->acquire(pool_index);
+        if (pool_ && device_backed) {
+          if (!lease.valid())
+            lease = router_->place(std::max<std::uint64_t>(1, graph->num_vertices()));
+          dev = &lease.device();
+          device_guard = pool_->acquire(lease.device_index());
+        }
         if (request.has_deadline()) {
           // Hedged slice of the remaining budget: a stalled backend must not
           // starve the ladder's later tiers.
           const double slice = remaining * config_.attempt_deadline_fraction;
           result = scc::run_with_deadline(backend, *graph,
-                                          ServiceClock::now() + to_duration(slice), &dev);
+                                          ServiceClock::now() + to_duration(slice), dev);
         } else {
           try {
-            result = scc::run_algorithm_on(backend, *graph, dev);
+            result = dev != nullptr ? scc::run_algorithm_on(backend, *graph, *dev)
+                                    : scc::run_algorithm(backend, *graph);
           } catch (const std::exception& e) {
             result = scc::SccResult{};
             result.error = {scc::SccStatus::kException, e.what()};
@@ -450,8 +447,8 @@ bool SccService::try_fresh(Pending& pending, device::Device& dev, std::size_t po
       // device-backed outcome feeds the leased device's health entry, so a
       // flaky device is quarantined (and routed around) without tainting
       // the backend's score on its healthy peers.
-      if (pool_index != kNoPoolDevice && device_backed)
-        pool_->record(pool_index, success ? FaultKind::kNone : fault);
+      if (pool_ && device_backed)
+        pool_->record(lease.device_index(), success ? FaultKind::kNone : fault);
       if (success) {
         sb.resumes += result.metrics.resumes;
         auto snap = snapshot_from_result(epoch, result);

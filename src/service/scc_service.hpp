@@ -99,10 +99,11 @@ struct ServiceConfig {
   // ---- Fleet mode (DESIGN.md §13) ----------------------------------------
   /// Pooled devices shared by all workers (0 = legacy topology: each worker
   /// owns a private device). In pool mode the GraphRouter leases the
-  /// least-loaded healthy device per request, and the pool's own health
-  /// registry quarantines misbehaving devices INDIVIDUALLY — the backend
-  /// registry above keeps scoring algorithms, the pool registry scores
-  /// hardware.
+  /// least-loaded healthy device to a label compute's device-backed
+  /// attempts (requests that run no device work take no lease), and the
+  /// pool's own health registry quarantines misbehaving devices
+  /// INDIVIDUALLY — the backend registry above keeps scoring algorithms,
+  /// the pool registry scores hardware.
   unsigned pool_devices = 0;
   /// Aggregate host-thread budget across ALL pooled devices, divided evenly
   /// per device with a floor of 1 (0 = hardware concurrency). This is the
@@ -202,9 +203,8 @@ class SccService {
 
   /// Fleet observability: true when the service runs on a shared DevicePool.
   bool pool_mode() const noexcept { return pool_ != nullptr; }
-  /// The pool / router (null outside pool mode; test and tool access).
+  /// The pool (null outside pool mode; test and tool access).
   fleet::DevicePool* device_pool() noexcept { return pool_.get(); }
-  fleet::GraphRouter* router() noexcept { return router_.get(); }
   /// Per-device launch statistics (name, stats), index-aligned with the
   /// pool; empty outside pool mode. Snapshot is taken under each device's
   /// guard, so it is safe against in-flight launches.
@@ -253,25 +253,21 @@ class SccService {
     std::atomic<std::uint64_t> hashbag_rounds{0};
   };
 
-  /// Sentinel for "not a pool device" (legacy per-worker topology).
-  static constexpr std::size_t kNoPoolDevice = static_cast<std::size_t>(-1);
-
   void worker_loop();
   /// Accumulates the §15 high-diameter counters of one solver attempt
   /// (chases, hash-bag rounds) into the service-wide stats.
   void fold_highdiameter_stats(const scc::SccMetrics& metrics);
-  Response process(Pending& pending, device::Device& dev, std::size_t pool_index);
-  void serve_labels(Pending& pending, device::Device& dev, std::size_t pool_index,
-                    Response& response);
+  /// `own` is the worker's private device, null in pool mode.
+  Response process(Pending& pending, device::Device* own);
+  void serve_labels(Pending& pending, device::Device* own, Response& response);
   void serve_condensation(Response& response);
   void serve_reachability(Pending& pending, Response& response);
   void serve_update_batch(Pending& pending, Response& response);
   /// Fresh tier: backend chain with breakers + retry/backoff. True when a
-  /// fresh answer was produced into `response`. `pool_index` names the
-  /// leased pool device (kNoPoolDevice outside pool mode) so device-backed
-  /// attempt outcomes also feed the pool's per-device health registry.
-  bool try_fresh(Pending& pending, device::Device& dev, std::size_t pool_index,
-                 Response& response);
+  /// fresh answer was produced into `response`. Device-backed attempts run
+  /// on `own`, or in pool mode on a device the router leases at the first
+  /// of them, whose outcomes then feed the pool's per-device health registry.
+  bool try_fresh(Pending& pending, device::Device* own, Response& response);
   /// Capacity-mode fresh tier: the sharded fixpoint across the whole pool
   /// (config.shards > 1). Takes every device guard for the run's duration.
   bool try_sharded(Pending& pending, Response& response);

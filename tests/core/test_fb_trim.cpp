@@ -15,11 +15,10 @@ TEST(FbTrim, MatchesTarjanWithAllTrimCombinations) {
   std::vector<NamedGraph> graphs = structured_graphs();
   graphs.push_back({"er", graph::random_digraph(200, 600, rng)});
 
-  for (int bits = 0; bits < 8; ++bits) {
+  for (int bits = 0; bits < 4; ++bits) {
     FbOptions opts;
     opts.trim1 = bits & 1;
     opts.trim2 = bits & 2;
-    opts.trim3 = bits & 4;
     for (const auto& g : graphs) {
       const auto oracle = scc::tarjan(g.graph);
       const auto r = scc::fb_trim(g.graph, opts);
@@ -48,7 +47,7 @@ TEST(FbTrim, PureTrimGraphNeedsNoBfs) {
 
 TEST(FbTrim, TrimDisabledStillCorrectOnDag) {
   FbOptions opts;
-  opts.trim1 = opts.trim2 = opts.trim3 = false;
+  opts.trim1 = opts.trim2 = false;
   const auto r = scc::fb_trim(graph::grid_dag(8, 8), opts);
   EXPECT_EQ(r.num_components, 64u);
 }
@@ -57,7 +56,7 @@ TEST(FbTrim, DeepDagNeedsManyRoundsWithoutTrim) {
   // The motivating weakness (§1): FB without trimming peels one pivot SCC
   // per color per round; a path decomposes slowly compared to ECL-SCC.
   FbOptions no_trim;
-  no_trim.trim1 = no_trim.trim2 = no_trim.trim3 = false;
+  no_trim.trim1 = no_trim.trim2 = false;
   const auto slow = scc::fb_trim(graph::path_graph(64), no_trim);
   const auto fast = scc::fb_trim(graph::path_graph(64));
   EXPECT_GT(slow.metrics.outer_iterations, fast.metrics.outer_iterations);
@@ -65,10 +64,12 @@ TEST(FbTrim, DeepDagNeedsManyRoundsWithoutTrim) {
 }
 
 TEST(FbTrim, GiantSccDetectedInOneRound) {
-  // FB's favorable case: one SCC containing everything.
+  // FB's favorable case: one SCC containing everything, named after
+  // GPU-SCC's pivot, the largest vertex ID.
   const auto r = scc::fb_trim(graph::cycle_graph(512));
   EXPECT_EQ(r.num_components, 1u);
   EXPECT_EQ(r.metrics.outer_iterations, 1u);
+  for (graph::vid v = 0; v < 512; ++v) ASSERT_EQ(r.labels[v], 511u) << "vertex " << v;
 }
 
 TEST(FbTrim, LabelsArePivotsOrTrimMaxima) {
@@ -87,65 +88,6 @@ TEST(FbTrim, WorksOnTinyDevice) {
   const auto g = fig3_graph();
   const auto oracle = scc::tarjan(g);
   EXPECT_TRUE(scc::same_partition(scc::fb_trim(g, dev, {}).labels, oracle.labels));
-}
-
-TEST(FbTrim, MatchesTarjanWithAllHighdiameterCombinations) {
-  // The §15 FbOptions levers (multi-pivot sets, trim chasing) may rename
-  // components but never repartition them — on every structured family,
-  // for every lever pair, across trim settings.
-  Rng rng(32);
-  std::vector<NamedGraph> graphs = structured_graphs();
-  graphs.push_back({"er", graph::random_digraph(200, 600, rng)});
-
-  for (int bits = 0; bits < 4; ++bits) {
-    FbOptions opts;
-    opts.multi_pivot = bits & 1;
-    opts.trim_chase = bits & 2;
-    for (const auto& g : graphs) {
-      const auto oracle = scc::tarjan(g.graph);
-      const auto r = scc::fb_trim(g.graph, opts);
-      ASSERT_TRUE(scc::same_partition(r.labels, oracle.labels))
-          << g.name << " hd=" << bits;
-    }
-  }
-}
-
-TEST(FbTrim, MaxPivotsClampAndSeedDeterminism) {
-  Rng rng(33);
-  const auto g = graph::random_digraph(300, 900, rng);
-  const auto oracle = scc::tarjan(g);
-  // Degenerate and extreme pivot-set sizes all stay correct; max_pivots is
-  // clamped to the 64-value tag budget internally.
-  for (unsigned k : {1u, 2u, 64u, 200u}) {
-    FbOptions opts;
-    opts.max_pivots = k;
-    const auto r = scc::fb_trim(g, opts);
-    ASSERT_TRUE(scc::same_partition(r.labels, oracle.labels)) << "k=" << k;
-  }
-  // Same seed -> same pivot draws -> identical labels (not just partition).
-  FbOptions a, b;
-  EXPECT_EQ(scc::fb_trim(g, a).labels, scc::fb_trim(g, b).labels);
-  // A different seed stays a correct partition.
-  FbOptions other;
-  other.pivot_seed = 0xdeadbeefULL;
-  EXPECT_TRUE(scc::same_partition(scc::fb_trim(g, other).labels, oracle.labels));
-}
-
-TEST(FbTrim, TrimChaseCollapsesDagWithFewerLaunches) {
-  // On a deep DAG the chaser should consume trim generations inside one
-  // apply kernel instead of one mark/apply pair per generation.
-  FbOptions chase;  // defaults: trim_chase on
-  FbOptions no_chase;
-  no_chase.trim_chase = false;
-  const auto path = graph::path_graph(128);
-  const auto with = scc::fb_trim(path, chase);
-  const auto without = scc::fb_trim(path, no_chase);
-  EXPECT_EQ(with.num_components, 128u);
-  EXPECT_EQ(without.num_components, 128u);
-  EXPECT_GT(with.metrics.chains_collapsed, 0u);
-  EXPECT_EQ(without.metrics.chains_collapsed, 0u);
-  // Fewer trim generations -> fewer mark/apply kernel pairs.
-  EXPECT_LT(with.metrics.kernel_launches, without.metrics.kernel_launches);
 }
 
 }  // namespace

@@ -30,8 +30,8 @@
 // under chaos plans and across a checkpoint resume; everywhere else, and
 // under the two options that forbid it, it must not switch.
 //
-// FB-Trim's analogues (multi-pivot sets, trim chasing) change WHICH pivot
-// names a component, so they are checked for partition identity.
+// FB-Trim names each component after its pivot, so it is checked for
+// partition identity on every family.
 
 #include <gtest/gtest.h>
 
@@ -56,7 +56,6 @@ namespace {
 
 using device::FaultPlan;
 using scc::EclOptions;
-using scc::FbOptions;
 using scc::SccResult;
 
 const NamedGraph& named(const std::vector<NamedGraph>& graphs, const std::string& name) {
@@ -456,53 +455,14 @@ TEST(SolverDifferential, PrioritySwitchStaysOffWhereItIsNotDue) {
 }
 
 TEST(SolverDifferential, FbOptionCombosMatchTarjanPartitions) {
-  // FB-Trim's §15 analogues: multi-pivot sets and trim chasing may rename
-  // components (pivot-named labels) but never repartition them.
-  for (const auto& family : families()) {
-    device::Device dev(solver_profile(), /*workers=*/4);
-    const SccResult oracle = scc::tarjan(family.graph);
-    for (unsigned mask = 0; mask < 4; ++mask) {
-      FbOptions opts;
-      opts.multi_pivot = mask & 1;
-      opts.trim_chase = mask & 2;
-      const SccResult r = scc::fb_trim(family.graph, dev, opts);
-      ASSERT_TRUE(r.ok()) << family.name << " fb mask=" << mask;
-      EXPECT_TRUE(scc::same_partition(r.labels, oracle.labels))
-          << family.name << " fb mask=" << mask;
-    }
-  }
-}
-
-TEST(SolverDifferential, FbMultiPivotRecordsPivotMetrics) {
-  // On the powerlaw family (many colors after round 1) the sampler should
-  // draw more than one pivot for at least one color at least once.
-  const auto fs = families();
-  const auto& family = named(fs, "powerlaw_giant");
+  // FB-Trim names components after their pivots, so it is checked against
+  // Tarjan's partition rather than its labels.
   device::Device dev(solver_profile(), /*workers=*/4);
-  FbOptions opts;  // defaults: multi_pivot on
-  const SccResult r = scc::fb_trim(family.graph, dev, opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_GT(r.metrics.pivots_selected, 0u);
-  EXPECT_GT(r.metrics.pivots_per_round, 0.0);
-  FbOptions classic;
-  classic.multi_pivot = false;
-  const SccResult c = scc::fb_trim(family.graph, dev, classic);
-  ASSERT_TRUE(c.ok());
-  EXPECT_EQ(c.metrics.multi_pivot_rounds, 0u);
-}
-
-TEST(SolverDifferential, FbTrimChaseTerminatesOnBoundaryFamilies) {
-  for (const auto& family : chain_families()) {
-    device::Device dev(solver_profile(), /*workers=*/4);
+  for (const auto& family : all_families()) {
     const SccResult oracle = scc::tarjan(family.graph);
-    for (unsigned cap : {1u, 64u}) {
-      FbOptions opts;
-      opts.trim_chain_cap = cap;
-      const SccResult r = scc::fb_trim(family.graph, dev, opts);
-      ASSERT_TRUE(r.ok()) << family.name << " cap=" << cap;
-      EXPECT_TRUE(scc::same_partition(r.labels, oracle.labels))
-          << family.name << " cap=" << cap;
-    }
+    const SccResult r = scc::fb_trim(family.graph, dev);
+    ASSERT_TRUE(r.ok()) << family.name;
+    EXPECT_TRUE(scc::same_partition(r.labels, oracle.labels)) << family.name;
   }
 }
 

@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <numeric>
-#include <random>
 #include <span>
 #include <vector>
 
@@ -13,7 +11,6 @@ namespace {
 
 using device::EdgeSpan;
 using device::equal_edge_span;
-using device::for_each_item_span;
 using device::owner_of;
 
 TEST(EdgePartition, EqualSpansCoverTotalInOrder) {
@@ -60,64 +57,6 @@ TEST(EdgePartition, OwnerOfFindsContainingItem) {
   EXPECT_EQ(owner_of(view, 2), 2u);  // vertex 1 has degree 0 and owns nothing
   EXPECT_EQ(owner_of(view, 4), 2u);
   EXPECT_EQ(owner_of(view, 5), 3u);
-}
-
-TEST(EdgePartition, EmptyGraphVisitsNothing) {
-  const std::vector<std::uint64_t> offsets = {0};  // zero vertices, zero edges
-  unsigned calls = 0;
-  for_each_item_span(std::span<const std::uint64_t>(offsets), equal_edge_span(0, 4, 0),
-                     [&](std::size_t, std::uint64_t, std::uint64_t) { ++calls; });
-  EXPECT_EQ(calls, 0u);
-}
-
-TEST(EdgePartition, AllIsolatedVerticesVisitNothing) {
-  const std::vector<std::uint64_t> offsets = {0, 0, 0, 0};  // 3 vertices, no edges
-  unsigned calls = 0;
-  for_each_item_span(std::span<const std::uint64_t>(offsets), equal_edge_span(0, 2, 0),
-                     [&](std::size_t, std::uint64_t, std::uint64_t) { ++calls; });
-  EXPECT_EQ(calls, 0u);
-}
-
-TEST(EdgePartition, SingleHubSplitsAcrossBlocks) {
-  // One vertex owning all 100 edges: every block must get a slice of the
-  // SAME item — the scenario where vertex partitioning degenerates.
-  const std::vector<std::uint64_t> offsets = {0, 100, 100};
-  const unsigned blocks = 4;
-  std::vector<int> hit(100, 0);
-  for (unsigned b = 0; b < blocks; ++b) {
-    for_each_item_span(std::span<const std::uint64_t>(offsets),
-                       equal_edge_span(b, blocks, 100),
-                       [&](std::size_t item, std::uint64_t lo, std::uint64_t hi) {
-                         EXPECT_EQ(item, 0u);  // always the hub
-                         EXPECT_EQ(hi - lo, 25u);
-                         for (std::uint64_t k = lo; k < hi; ++k) ++hit[k];
-                       });
-  }
-  for (int h : hit) EXPECT_EQ(h, 1);
-}
-
-TEST(EdgePartition, RandomCsrCoveredExactlyOnce) {
-  std::mt19937 rng(0x5cc);
-  std::uniform_int_distribution<int> deg(0, 9);
-  std::vector<std::uint64_t> offsets = {0};
-  for (int v = 0; v < 200; ++v) offsets.push_back(offsets.back() + deg(rng));
-  const std::uint64_t total = offsets.back();
-  ASSERT_GT(total, 0u);
-
-  std::vector<int> hit(total, 0);
-  const unsigned blocks = 13;
-  for (unsigned b = 0; b < blocks; ++b) {
-    for_each_item_span(std::span<const std::uint64_t>(offsets),
-                       equal_edge_span(b, blocks, total),
-                       [&](std::size_t item, std::uint64_t lo, std::uint64_t hi) {
-                         ASSERT_LT(item, 200u);
-                         ASSERT_LE(offsets[item], lo);
-                         ASSERT_LT(lo, hi);
-                         ASSERT_LE(hi, offsets[item + 1]);
-                         for (std::uint64_t k = lo; k < hi; ++k) ++hit[k];
-                       });
-  }
-  for (std::uint64_t k = 0; k < total; ++k) ASSERT_EQ(hit[k], 1) << "edge " << k;
 }
 
 }  // namespace

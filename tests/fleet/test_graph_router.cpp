@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -154,6 +156,36 @@ TEST(GraphRouter, ServesLeastLoadedWhenEveryDeviceIsQuarantined) {
   // Serving somewhere beats serving nowhere: the lease is still valid.
   auto lease = router.place(100);
   EXPECT_TRUE(lease.valid());
+}
+
+TEST(GraphRouter, ProbationDeviceKeepsItsProbeUntilPlacedOn) {
+  // A device in probation admits one probe. A placement that passes it over
+  // must leave that probe unissued, or no outcome ever readmits the device.
+  DevicePoolConfig cfg;
+  cfg.devices = 2;
+  cfg.profile = device::tiny_profile();
+  cfg.thread_budget = 2;
+  cfg.health.breaker.window = 4;
+  cfg.health.breaker.min_samples = 2;
+  cfg.health.breaker.cooldown_seconds = 0.001;
+  DevicePool pool(cfg);
+  GraphRouter router(pool);
+
+  for (int i = 0; i < 4; ++i) pool.record(0, FaultKind::kStall);
+  ASSERT_NE(pool.health().health(0), service::BackendHealth::kHealthy);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  auto busy = router.adopt(0, 1'000);
+  auto first = router.place(10);
+  EXPECT_EQ(first.device_index(), 1u) << "device 0 carries more load";
+
+  busy.release();
+  auto second = router.place(10);
+  EXPECT_EQ(second.device_index(), 0u) << "the first placement spent device 0's probe";
+  EXPECT_FALSE(pool.admits(0)) << "the second placement did not take device 0's probe";
+
+  pool.record(0, FaultKind::kNone);
+  EXPECT_EQ(pool.health().health(0), service::BackendHealth::kHealthy);
 }
 
 TEST(GraphRouter, LeaseReleasedWhenSolveThrows) {

@@ -12,8 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/test_graphs.hpp"
@@ -358,6 +360,32 @@ TEST(ShardedScc, NoAdmittedDeviceServesAnywayAndSaysSo) {
   ASSERT_TRUE(multi.ok()) << multi.error.message;
   EXPECT_EQ(multi.labels, reference.labels);
   EXPECT_TRUE(multi.metrics.pool_last_resort);
+}
+
+TEST(ShardedScc, ConvergedRunReadmitsAProbationDevice) {
+  // A device in probation that gets a shard keeps it through the run, and
+  // the certified run records a success on every device that held a shard.
+  DevicePoolConfig cfg = fleet_config(2);
+  cfg.health.breaker.window = 4;
+  cfg.health.breaker.min_samples = 2;
+  cfg.health.breaker.cooldown_seconds = 0.001;
+  DevicePool pool(cfg);
+  for (int i = 0; i < 4; ++i) pool.record(1, service::FaultKind::kStall);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  Rng rng(0x40710'01);
+  const Digraph g = graph::random_digraph(150, 450, rng);
+  ShardedOptions opts;
+  opts.shards = 2;
+  opts.straggler.enabled = false;  // a slow sweep must not re-quarantine the probe
+  const SccResult sharded = fleet::sharded_scc(g, pool, opts);
+
+  ASSERT_TRUE(sharded.ok()) << sharded.error.message;
+  EXPECT_EQ(sharded.labels, single_device_reference(g).labels);
+  EXPECT_EQ(sharded.metrics.failovers, 0u) << "the probation device was ejected";
+  const auto snap = pool.health().snapshot();
+  EXPECT_EQ(snap[1].health, service::BackendHealth::kHealthy);
+  EXPECT_EQ(snap[0].faults[static_cast<std::size_t>(service::FaultKind::kNone)], 1u);
 }
 
 TEST(ShardedScc, AdmittedPoolDoesNotFlagLastResort) {

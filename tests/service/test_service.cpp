@@ -7,7 +7,9 @@
 
 #include "core/registry.hpp"
 #include "core/result.hpp"
+#include "fleet/device_pool.hpp"
 #include "graph/generators.hpp"
+#include "service/health_registry.hpp"
 #include "service/scc_service.hpp"
 
 namespace ecl::test {
@@ -281,6 +283,41 @@ TEST(SccService, ConcurrentMixedWorkloadIsConsistent) {
   }
   const auto stats = svc.stats();
   EXPECT_EQ(stats.submitted, 64u);
+}
+
+TEST(SccService, PoolProbationDeviceIsReadmittedByTheWorkThatRunsOnIt) {
+  // A pool device in probation keeps its probe until work runs on it: a
+  // reachability query runs on no device and leaves the probe unissued, and
+  // one labels request, whole-graph (shards = 1) or sharded (shards = 2),
+  // runs on the device and readmits it.
+  const auto g = graph::cycle_chain(4, 5);
+  for (const unsigned shards : {1u, 2u}) {
+    ServiceConfig cfg = healthy_config();
+    cfg.workers = 1;
+    cfg.pool_devices = 2;
+    cfg.pool_thread_budget = 2;
+    cfg.shards = shards;
+    cfg.health.breaker.window = 4;
+    cfg.health.breaker.min_samples = 2;
+    cfg.health.breaker.cooldown_seconds = 0.001;
+    SccService svc(g, cfg);
+    fleet::DevicePool& pool = *svc.device_pool();
+    for (int i = 0; i < 4; ++i) pool.record(0, service::FaultKind::kStall);
+    ASSERT_NE(pool.health().health(0), service::BackendHealth::kHealthy);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+    Request reach;
+    reach.kind = RequestKind::kReachabilityQuery;
+    ASSERT_EQ(svc.call(reach).status, ServiceStatus::kOk);
+    EXPECT_TRUE(pool.admits(0)) << "shards = " << shards << ": a query spent the probe";
+
+    Request labels;
+    labels.kind = RequestKind::kSccLabels;
+    const Response r = svc.call(labels);
+    ASSERT_EQ(r.status, ServiceStatus::kOk);
+    EXPECT_EQ(r.served_by.tier, Tier::kFresh);
+    EXPECT_EQ(pool.health().health(0), service::BackendHealth::kHealthy) << "shards = " << shards;
+  }
 }
 
 }  // namespace
