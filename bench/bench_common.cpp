@@ -88,7 +88,7 @@ int run_and_report(int argc, char** argv, const std::string& table_title,
   if (!headlines.empty()) {
     std::printf("\n== Headline geomean speedups (measured vs paper) ==\n");
     for (const auto& h : headlines) {
-      const double measured = results().geomean_speedup(h.numerator, h.denominator);
+      const double measured = results().geomean_speedup(h.numerator, h.denominator, h.workload);
       if (h.paper_factor > 0) {
         std::printf("  %-52s measured %6.2fx   paper %6.2fx\n", h.description.c_str(), measured,
                     h.paper_factor);

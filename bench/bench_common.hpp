@@ -26,6 +26,9 @@ struct Headline {
   std::string numerator;
   std::string denominator;
   double paper_factor;  ///< the factor the paper reports
+  /// The one workload the headline covers; empty means the geomean over
+  /// every workload of the table.
+  std::string workload = {};
 };
 
 /// Runs the registered benchmarks and prints the runtime table (Tables

@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
       argc, argv, "Sec 5.1.4: expanded (10x) meshes", "Sec 5.1.4: expanded meshes",
       {
           {"expanded toroid-hex: ECL-SCC vs GPU-SCC (A100)", "ECL-SCC A100", "GPU-SCC A100",
-           78.5},
-          {"expanded twist-hex: ECL-SCC A100 vs iSpan Xeon", "ECL-SCC A100", "iSpan Xeon", 1.4},
+           78.5, "expanded-toroid-hex"},
+          {"expanded twist-hex: ECL-SCC A100 vs iSpan Xeon", "ECL-SCC A100", "iSpan Xeon", 1.4,
+           "expanded-twist-hex"},
       });
 }

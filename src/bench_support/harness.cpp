@@ -164,10 +164,11 @@ std::string ResultTable::render_throughput_figure(const std::string& title) cons
   return out.str();
 }
 
-double ResultTable::geomean_speedup(const std::string& column_a,
-                                    const std::string& column_b) const {
+double ResultTable::geomean_speedup(const std::string& column_a, const std::string& column_b,
+                                    const std::string& workload) const {
   std::vector<double> ratios;
   for (const auto& w : workload_names()) {
+    if (!workload.empty() && w != workload) continue;
     double a = -1.0;
     double b = -1.0;
     std::uint64_t va = 0;

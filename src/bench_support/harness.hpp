@@ -59,8 +59,10 @@ class ResultTable {
   /// per workload, plus a geometric-mean row).
   std::string render_throughput_figure(const std::string& title) const;
 
-  /// Headline factor: geomean throughput of column a / column b.
-  double geomean_speedup(const std::string& column_a, const std::string& column_b) const;
+  /// Headline factor: geomean throughput of column a / column b over every
+  /// workload, or over `workload` alone when it is non-empty.
+  double geomean_speedup(const std::string& column_a, const std::string& column_b,
+                         const std::string& workload = {}) const;
 
   bool empty() const { return rows_.empty(); }
   std::vector<std::string> workload_names() const;

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "core/propagate.hpp"
 #include "core/tarjan.hpp"
@@ -51,13 +52,15 @@ bool priority_switch_due(std::uint64_t finished, std::uint64_t gained, std::uint
 
 /// Per-run state shared by the kernels.
 struct EclState {
-  explicit EclState(const Digraph& g)
+  /// `given_reverse`, when non-null, is g's reverse; build_links adopts it.
+  EclState(const Digraph& g, const Digraph* given_reverse)
       : csr(g),
         n(g.num_vertices()),
         sigs(n),
         labels(n, graph::kInvalidVid),
         worklist(g),
-        key(n) {}
+        key(n),
+        reverse(given_reverse) {}
 
   /// The solve graph. Sparse rounds and chases read the worklist from its
   /// CSR through in_worklist.
@@ -95,12 +98,14 @@ struct EclState {
            key[a] == key[b];
   }
 
-  /// High-diameter state (DESIGN.md §15), built on the control thread at
+  /// High-diameter state (DESIGN.md §15), set up on the control thread at
   /// the first round that goes sparse or may chase, once per solve: the
-  /// reverse CSR (in-edges for the sparse gather and chase predecessors)
-  /// and the per-round chase stamps. The bag pointer is non-null only while
-  /// a Phase-2 sweep with the hash bag ARMED is on the device.
-  std::optional<Digraph> reverse;
+  /// reverse CSR (in-edges for the sparse gather and chase predecessors),
+  /// adopted from the prepared input or built here, and the per-round
+  /// chase stamps. The bag pointer is non-null only while a Phase-2 sweep
+  /// with the hash bag ARMED is on the device.
+  const Digraph* reverse;
+  std::optional<Digraph> built_reverse;  ///< when the caller gave no reverse
   std::unique_ptr<std::atomic<std::uint32_t>[]> fwd_stamp, bwd_stamp;
   /// Mover-bag storage, allocated once per solve and reused across outer
   /// iterations (a fresh round tag invalidates prior contents in O(1)).
@@ -115,8 +120,8 @@ struct EclState {
   std::uint64_t hashbag_rounds = 0;  ///< control thread only
 
   void build_links() {
-    if (reverse) return;
-    reverse.emplace(csr.reverse());
+    if (fwd_stamp) return;
+    if (reverse == nullptr) reverse = &built_reverse.emplace(csr.reverse());
     fwd_stamp = std::make_unique<std::atomic<std::uint32_t>[]>(n);
     bwd_stamp = std::make_unique<std::atomic<std::uint32_t>[]>(n);
   }
@@ -714,13 +719,15 @@ bool hub_reorder_profitable(const graph::DegreeStats& stats) {
   return stats.stddev_out / stats.avg >= 1.75;
 }
 
-/// One ECL-SCC solve of `g` as given (no relabeling).
-SccResult solve(const Digraph& g, device::Device& dev, const EclOptions& opts) {
+/// One ECL-SCC solve of `g` as given (no relabeling). `reverse`, when
+/// non-null, is g's reverse.
+SccResult solve(const Digraph& g, const Digraph* reverse, device::Device& dev,
+                const EclOptions& opts) {
   const vid n = g.num_vertices();
   SccResult result;
   if (n == 0) return result;
 
-  EclState st(g);
+  EclState st(g, reverse);
   if (dev.fault_active() &&
       (dev.fault().plan().delayed_visibility || dev.fault().plan().lost_update))
     st.fault = &dev.fault();
@@ -902,7 +909,7 @@ EclOptions ecl_all_optimizations_off() {
   return opts;
 }
 
-SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts) {
+EclInput prepare_ecl_input(const Digraph& g, std::shared_ptr<const Digraph> reverse) {
   // Hub-clustering reorder (DESIGN.md §11), gated per graph by the
   // degree-skew pre-scan: an O(n) out-degree stats pass predicts whether
   // relabeling pays for the permutation + remap. Out-degree-only stats keep
@@ -911,21 +918,46 @@ SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts)
   // is the identity. Labels are unaffected either way: the remap names
   // every component by its maximum ORIGINAL member, bit-identical to the
   // unreordered solve.
+  EclInput in;
   if (hub_reorder_profitable(graph::compute_out_degree_stats(g))) {
-    const std::vector<vid> perm = graph::hub_clustering_permutation(g);
+    std::vector<vid> perm = graph::hub_clustering_permutation(g);
     if (!perm.empty()) {
-      SccResult result = solve(graph::apply_permutation(g, perm), dev, opts);
-      remap_labels_to_original(result, perm);
-      result.metrics.hub_reorder_applied = true;
-      return result;
+      // Relabeling commutes with reversal: the permuted reverse has the
+      // same rows as the permuted graph's reverse, and costs less to build.
+      if (reverse)
+        reverse = std::make_shared<const Digraph>(graph::apply_permutation(*reverse, perm));
+      Digraph permuted = graph::apply_permutation(g, perm);
+      in.hub.emplace(graph::PermutedGraph{std::move(permuted), std::move(perm)});
     }
   }
-  SccResult result = solve(g, dev, opts);
+  in.reverse = std::move(reverse);
+  return in;
+}
+
+SccResult ecl_scc(const Digraph& g, const EclInput& in, device::Device& dev,
+                  const EclOptions& opts) {
+  const auto same_size = [&g](const Digraph& h) {
+    return h.num_vertices() == g.num_vertices() && h.num_edges() == g.num_edges();
+  };
+  if ((in.hub && (!same_size(in.hub->graph) || in.hub->perm.size() != g.num_vertices())) ||
+      (in.reverse && !same_size(*in.reverse)))
+    throw std::invalid_argument("ecl_scc: the prepared input is not of this graph");
+  if (in.hub) {
+    SccResult result = solve(in.hub->graph, in.reverse.get(), dev, opts);
+    remap_labels_to_original(result, in.hub->perm);
+    result.metrics.hub_reorder_applied = true;
+    return result;
+  }
+  SccResult result = solve(g, in.reverse.get(), dev, opts);
   // After a priority switch, labels name each class by its top-priority
   // member; one O(n) pass restores max-member names (the reordered path
   // above gets the same pass from its remap).
   if (result.metrics.priority_switch_iteration != 0) remap_labels_to_original(result, {});
   return result;
+}
+
+SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts) {
+  return ecl_scc(g, prepare_ecl_input(g), dev, opts);
 }
 
 device::Device& shared_device() {

@@ -30,11 +30,14 @@
 // lifted with out[v]; symmetrically for out[u]. The fixed point then equals
 // Algorithm 1's exactly (see DESIGN.md).
 
+#include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/result.hpp"
 #include "core/watchdog.hpp"
 #include "device/device.hpp"
+#include "graph/permute.hpp"
 
 namespace ecl::scc {
 
@@ -116,8 +119,35 @@ struct EclOptions {
 /// post-paper levers stay on: they postdate the paper's ablation.
 EclOptions ecl_all_optimizations_off();
 
-/// Runs ECL-SCC on the given virtual device. Labels are the maximum vertex
-/// ID of each component (§3.2.1).
+/// The graph-only half of a solve: everything ECL-SCC derives from the
+/// graph before its first kernel, so that a caller solving one graph many
+/// times (the service, once per graph epoch) prepares it once.
+struct EclInput {
+  /// The hub-reordered graph and its permutation (DESIGN.md §11); empty
+  /// when the degree-skew gate declined or the permutation is the identity.
+  std::optional<graph::PermutedGraph> hub;
+  /// The reverse of the graph the solver runs on (hub->graph when the gate
+  /// fired). Null: the solver builds it at the first round that goes sparse
+  /// or chases.
+  std::shared_ptr<const Digraph> reverse;
+};
+
+/// Runs the degree-skew pre-scan and, when the gate fires, builds the hub
+/// permutation and the permuted graph. `reverse`, when given, must be g's
+/// reverse: the input then carries the solve graph's reverse, that same
+/// object when the gate declined and its permuted copy when it fired.
+EclInput prepare_ecl_input(const Digraph& g, std::shared_ptr<const Digraph> reverse = nullptr);
+
+/// Runs ECL-SCC on `g` from an input prepared from g. Throws
+/// std::invalid_argument when the input's graphs have another vertex or
+/// edge count than g; an input prepared from another graph of the same
+/// size is the caller's error. Labels are the maximum vertex ID of each
+/// component (§3.2.1), the same as from the overload below.
+SccResult ecl_scc(const Digraph& g, const EclInput& in, device::Device& dev,
+                  const EclOptions& opts = {});
+
+/// Runs ECL-SCC on the given virtual device: ecl_scc(g,
+/// prepare_ecl_input(g), dev, opts).
 SccResult ecl_scc(const Digraph& g, device::Device& dev, const EclOptions& opts = {});
 
 /// Convenience overload using a process-wide shared device (A100 profile).

@@ -71,21 +71,37 @@ const std::vector<std::pair<std::string, SccAlgorithm>>& table() {
   return algorithms;
 }
 
+/// ECL-SCC on `dev`, from the caller's prepared input when there is one.
+SccResult ecl_from(const Digraph& g, device::Device& dev, const EclInput* input,
+                   const EclOptions& opts = {}) {
+  return input ? ecl_scc(g, *input, dev, opts) : ecl_scc(g, dev, opts);
+}
+
 /// Device-parameterized variants of the configurations that run on the
 /// virtual device substrate. The a100/titanv split lives in the device
-/// profile, so both map to the same solver here.
-using DeviceAlgorithm = std::function<SccResult(const Digraph&, device::Device&)>;
+/// profile, so both map to the same solver here. FB-Trim ignores the
+/// prepared input.
+using DeviceAlgorithm =
+    std::function<SccResult(const Digraph&, device::Device&, const EclInput*)>;
 
 const std::vector<std::pair<std::string, DeviceAlgorithm>>& device_table() {
   static const std::vector<std::pair<std::string, DeviceAlgorithm>> algorithms = {
-      {"ecl-a100", [](const Digraph& g, device::Device& dev) { return ecl_scc(g, dev); }},
-      {"ecl-titanv", [](const Digraph& g, device::Device& dev) { return ecl_scc(g, dev); }},
-      {"ecl-loadbalance",
-       [](const Digraph& g, device::Device& dev) {
-         return ecl_scc(g, dev, dense_sweep_options());
+      {"ecl-a100",
+       [](const Digraph& g, device::Device& dev, const EclInput* in) {
+         return ecl_from(g, dev, in);
        }},
-      {"gpu-scc-a100", [](const Digraph& g, device::Device& dev) { return fb_trim(g, dev); }},
-      {"gpu-scc-titanv", [](const Digraph& g, device::Device& dev) { return fb_trim(g, dev); }},
+      {"ecl-titanv",
+       [](const Digraph& g, device::Device& dev, const EclInput* in) {
+         return ecl_from(g, dev, in);
+       }},
+      {"ecl-loadbalance",
+       [](const Digraph& g, device::Device& dev, const EclInput* in) {
+         return ecl_from(g, dev, in, dense_sweep_options());
+       }},
+      {"gpu-scc-a100",
+       [](const Digraph& g, device::Device& dev, const EclInput*) { return fb_trim(g, dev); }},
+      {"gpu-scc-titanv",
+       [](const Digraph& g, device::Device& dev, const EclInput*) { return fb_trim(g, dev); }},
   };
   return algorithms;
 }
@@ -120,9 +136,14 @@ bool algorithm_uses_device(const std::string& name) {
   return false;
 }
 
-SccResult run_algorithm_on(const std::string& name, const Digraph& g, device::Device& dev) {
+bool algorithm_reads_ecl_input(const std::string& name) {
+  return name == "ecl-a100" || name == "ecl-titanv" || name == "ecl-loadbalance";
+}
+
+SccResult run_algorithm_on(const std::string& name, const Digraph& g, device::Device& dev,
+                           const EclInput* input) {
   for (const auto& [candidate, fn] : device_table()) {
-    if (candidate == name) return fn(g, dev);
+    if (candidate == name) return fn(g, dev, input);
   }
   return run_algorithm(name, g);
 }
@@ -255,16 +276,16 @@ SccResult run_resilient_on(const std::string& name, const Digraph& g, device::De
 
 SccResult run_with_deadline(const std::string& name, const Digraph& g,
                             std::chrono::steady_clock::time_point deadline,
-                            device::Device* dev) {
+                            device::Device* dev, const EclInput* input) {
   (void)find_algorithm(name);  // unknown name: throws (a caller bug, not a fault)
   SccResult result;
   try {
-    if (name == "ecl-a100" || name == "ecl-titanv" || name == "ecl-loadbalance") {
+    if (algorithm_reads_ecl_input(name)) {
       EclOptions opts = name == "ecl-loadbalance" ? dense_sweep_options() : EclOptions{};
       opts.watchdog.deadline = deadline;
       opts.stall_policy = StallPolicy::kReturnError;
-      result = ecl_scc(g, dev ? *dev : (name == "ecl-titanv" ? titanv_device() : shared_device()),
-                       opts);
+      result = ecl_from(g, dev ? *dev : (name == "ecl-titanv" ? titanv_device() : shared_device()),
+                        input, opts);
     } else if (name == "ecl-omp") {
       EclOmpOptions opts;
       opts.deadline = deadline;

@@ -18,6 +18,8 @@ class Device;
 
 namespace ecl::scc {
 
+struct EclInput;
+
 using SccAlgorithm = std::function<SccResult(const Digraph&)>;
 
 /// Names of all registered algorithm configurations.
@@ -34,10 +36,18 @@ SccResult run_algorithm(const std::string& name, const Digraph& g);
 /// (and therefore honors a device's fault plan / block-schedule knobs).
 bool algorithm_uses_device(const std::string& name);
 
+/// True if the named configuration is an ECL-SCC device solve
+/// (ecl-a100, ecl-titanv, ecl-loadbalance), the configurations that solve
+/// from a prepared EclInput (core/ecl_scc.hpp) when one is passed.
+bool algorithm_reads_ecl_input(const std::string& name);
+
 /// Runs the named configuration on the caller's device instead of the
 /// registry's process-wide one — the hook the chaos harness uses to sweep
-/// fault plans. CPU configurations ignore `dev` and run normally.
-SccResult run_algorithm_on(const std::string& name, const Digraph& g, device::Device& dev);
+/// fault plans. CPU configurations ignore `dev` and run normally. `input`,
+/// when non-null, must be prepared from `g`; the configurations of
+/// algorithm_reads_ecl_input solve from it, every other one ignores it.
+SccResult run_algorithm_on(const std::string& name, const Digraph& g, device::Device& dev,
+                           const EclInput* input = nullptr);
 
 /// Resilient entry point: runs the named configuration, converts any thrown
 /// exception into SccStatus::kException, intrinsically verifies the
@@ -74,10 +84,11 @@ SccResult run_resilient_on(const std::string& name, const Digraph& g, device::De
 /// caller that honors the error never serves a deadline-violating answer.
 /// Thrown exceptions are converted to SccStatus::kException; unknown names
 /// still throw std::invalid_argument. `dev`, when non-null, routes
-/// device-backed configurations the same way run_algorithm_on does.
+/// device-backed configurations the same way run_algorithm_on does, and
+/// `input` is read as run_algorithm_on reads it.
 SccResult run_with_deadline(const std::string& name, const Digraph& g,
                             std::chrono::steady_clock::time_point deadline,
-                            device::Device* dev = nullptr);
+                            device::Device* dev = nullptr, const EclInput* input = nullptr);
 
 }  // namespace ecl::scc
 

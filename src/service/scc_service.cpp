@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/ecl_scc.hpp"
 #include "core/registry.hpp"
 #include "core/verify.hpp"
 #include "fleet/sharded_scc.hpp"
@@ -393,6 +394,10 @@ bool SccService::try_fresh(Pending& pending, device::Device* own, Response& resp
 
       auto [graph, epoch] = current_graph();
       const bool device_backed = scc::algorithm_uses_device(backend);
+      // The ECL configurations solve from the epoch's prepared input, built
+      // by the epoch's first ECL attempt before any device is taken.
+      const std::shared_ptr<const scc::EclInput> input =
+          scc::algorithm_reads_ecl_input(backend) ? epoch_ecl_input(*graph, epoch) : nullptr;
       scc::SccResult result;
       {
         // Pool devices are shared across workers and launch is not
@@ -411,10 +416,11 @@ bool SccService::try_fresh(Pending& pending, device::Device* own, Response& resp
           // starve the ladder's later tiers.
           const double slice = remaining * config_.attempt_deadline_fraction;
           result = scc::run_with_deadline(backend, *graph,
-                                          ServiceClock::now() + to_duration(slice), dev);
+                                          ServiceClock::now() + to_duration(slice), dev,
+                                          input.get());
         } else {
           try {
-            result = dev != nullptr ? scc::run_algorithm_on(backend, *graph, *dev)
+            result = dev != nullptr ? scc::run_algorithm_on(backend, *graph, *dev, input.get())
                                     : scc::run_algorithm(backend, *graph);
           } catch (const std::exception& e) {
             result = scc::SccResult{};
@@ -644,22 +650,38 @@ std::pair<std::shared_ptr<const Digraph>, std::uint64_t> SccService::current_gra
   return {shared, actual_epoch};
 }
 
+template <typename T, typename Build>
+std::shared_ptr<const T> SccService::epoch_prep(std::shared_ptr<const T> EpochPrep::*field,
+                                                std::uint64_t epoch, Build build) {
+  {
+    std::lock_guard lock(cache_mutex_);
+    if (prep_.epoch == epoch && prep_.*field) return prep_.*field;
+  }
+  // Built outside the lock: a reverse or a permuted CSR of a big graph is
+  // an O(V+E) pass and must not serialize the whole worker pool behind
+  // cache_mutex_.
+  std::shared_ptr<const T> value = build();
+  std::lock_guard lock(cache_mutex_);
+  // Only move the slot forward; a slow worker must not roll it back.
+  if (epoch > prep_.epoch) prep_ = EpochPrep{epoch, nullptr, nullptr};
+  if (epoch == prep_.epoch) {
+    if (prep_.*field) return prep_.*field;  // a concurrent build was stored first
+    prep_.*field = value;
+  }
+  return value;
+}
+
 std::shared_ptr<const Digraph> SccService::epoch_reverse(const Digraph& g, std::uint64_t epoch) {
-  {
-    std::lock_guard lock(cache_mutex_);
-    if (reverse_cache_ && reverse_cache_epoch_ == epoch) return reverse_cache_;
-  }
-  // Built outside the lock: the reverse of a big graph is an O(V+E) pass
-  // and must not serialize the whole worker pool behind cache_mutex_.
-  auto shared = std::make_shared<const Digraph>(g.reverse());
-  {
-    std::lock_guard lock(cache_mutex_);
-    if (!reverse_cache_ || epoch >= reverse_cache_epoch_) {
-      reverse_cache_ = shared;
-      reverse_cache_epoch_ = epoch;
-    }
-  }
-  return shared;
+  return epoch_prep(&EpochPrep::reverse, epoch,
+                    [&g] { return std::make_shared<const Digraph>(g.reverse()); });
+}
+
+std::shared_ptr<const scc::EclInput> SccService::epoch_ecl_input(const Digraph& g,
+                                                                std::uint64_t epoch) {
+  return epoch_prep(&EpochPrep::ecl, epoch, [&] {
+    return std::make_shared<const scc::EclInput>(
+        scc::prepare_ecl_input(g, epoch_reverse(g, epoch)));
+  });
 }
 
 double SccService::remaining_seconds(const Request& request) const {

@@ -26,7 +26,10 @@
 //    kCertificationFailed backend fault and the retry chain continues.
 //    Uncertified results are never served (DESIGN.md §12). The graph's
 //    reverse adjacency — labeling-independent — is cached per epoch, so
-//    every certification after the first shares one build;
+//    every certification after the first shares one build, and so is the
+//    ECL solver's prepared input (hub permutation, permuted CSR, and the
+//    solve graph's reverse), so every ECL solve after the first starts
+//    from it;
 //  * health-scored backend quarantine — SccError / timeout / certification
 //    outcomes feed a weighted sliding window per backend
 //    (health_registry.hpp); a degraded backend is quarantined and stops
@@ -58,6 +61,10 @@
 #include "service/backoff.hpp"
 #include "service/health_registry.hpp"
 #include "service/service_types.hpp"
+
+namespace ecl::scc {
+struct EclInput;
+}  // namespace ecl::scc
 
 namespace ecl::service {
 
@@ -285,11 +292,29 @@ class SccService {
   /// labeling may be served. `epoch` keys the reverse-adjacency cache.
   bool certify_for_serving(const Digraph& g, std::uint64_t epoch, const scc::SccResult& result,
                            ServedBy& sb);
-  /// Epoch-cached g.reverse() for the certifier: the reverse adjacency
-  /// depends only on the graph, so every certification of the same epoch
-  /// shares one build (the certifier's steady-state per-request cost drops
-  /// by an O(V+E) pass).
+  /// Epoch-cached g.reverse() for the certifier and the solver: the
+  /// reverse adjacency depends only on the graph, so every certification of
+  /// the same epoch shares one build (the certifier's steady-state
+  /// per-request cost drops by an O(V+E) pass).
   std::shared_ptr<const Digraph> epoch_reverse(const Digraph& g, std::uint64_t epoch);
+  /// Epoch-cached scc::prepare_ecl_input(g, epoch_reverse(g, epoch)): built
+  /// at the epoch's first ECL attempt, then shared by every ECL solve of
+  /// the epoch.
+  std::shared_ptr<const scc::EclInput> epoch_ecl_input(const Digraph& g, std::uint64_t epoch);
+
+  /// What the service derives from one epoch's graph alone. A field is
+  /// null until the epoch's first request that needs it builds it.
+  struct EpochPrep {
+    std::uint64_t epoch = 0;
+    std::shared_ptr<const Digraph> reverse;
+    std::shared_ptr<const scc::EclInput> ecl;
+  };
+  /// The epoch slot's `field` for `epoch`. When the slot lacks it, `build()`
+  /// makes it and it is stored unless the slot has moved past `epoch`; a
+  /// value a concurrent worker stored first wins.
+  template <typename T, typename Build>
+  std::shared_ptr<const T> epoch_prep(std::shared_ptr<const T> EpochPrep::*field,
+                                      std::uint64_t epoch, Build build);
 
   ServiceConfig config_;
   std::unique_ptr<dynamic::DynamicScc> engine_;
@@ -304,8 +329,7 @@ class SccService {
   std::shared_ptr<const dynamic::LabelSnapshot> cached_snapshot_;
   std::shared_ptr<const Digraph> graph_cache_;
   std::uint64_t graph_cache_epoch_ = 0;
-  std::shared_ptr<const Digraph> reverse_cache_;  // certifier hint, keyed like graph_cache_
-  std::uint64_t reverse_cache_epoch_ = 0;
+  EpochPrep prep_;  // keyed like graph_cache_
 
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<bool> stopped_{false};

@@ -70,6 +70,19 @@ TEST(Harness, GeomeanSpeedup) {
   EXPECT_DOUBLE_EQ(table.geomean_speedup("A", "missing"), 0.0);
 }
 
+TEST(Harness, GeomeanSpeedupOverOneWorkload) {
+  ResultTable table;
+  // A is 8x B on g1 and 2x on g2: 4x over both, and each alone on its own.
+  table.record("g1", "A", 0.5, 100);
+  table.record("g1", "B", 4.0, 100);
+  table.record("g2", "A", 1.0, 400);
+  table.record("g2", "B", 2.0, 400);
+  EXPECT_NEAR(table.geomean_speedup("A", "B"), 4.0, 1e-9);
+  EXPECT_NEAR(table.geomean_speedup("A", "B", "g1"), 8.0, 1e-9);
+  EXPECT_NEAR(table.geomean_speedup("A", "B", "g2"), 2.0, 1e-9);
+  EXPECT_DOUBLE_EQ(table.geomean_speedup("A", "B", "missing"), 0.0);
+}
+
 TEST(Harness, MeasureColumnRecordsAndVerifies) {
   Workload wl;
   wl.name = "measure-test";

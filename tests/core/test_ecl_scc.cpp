@@ -7,6 +7,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/test_graphs.hpp"
@@ -254,6 +257,63 @@ TEST(EclScc, AllOptimizationsOffStillCorrect) {
   const auto g = graph::random_digraph(300, 900, rng);
   const auto oracle = scc::tarjan(g);
   EXPECT_TRUE(scc::same_partition(scc::ecl_scc(g, opts).labels, oracle.labels));
+}
+
+TEST(EclScc, PreparedInputIsLabelTransparent) {
+  // A solve from an input prepared with the graph's reverse (what the
+  // service does once per graph epoch) must label exactly as a plain solve
+  // does: on every family, the hub gate firing (rmat_10) or declining
+  // (profile_mesh_like), fault-free and under seeded chaos.
+  for (const auto& [name, g] : all_test_graphs()) {
+    const std::vector<graph::vid> oracle = tarjan_max_labels(g);
+    const scc::EclInput input =
+        scc::prepare_ecl_input(g, std::make_shared<const graph::Digraph>(g.reverse()));
+    for (std::uint64_t seed = 0; seed <= 4; ++seed) {
+      device::DeviceProfile profile = device::tiny_profile();
+      if (seed != 0) profile.fault_plan = device::FaultPlan::from_seed(seed);
+      device::Device plain_dev(profile, /*workers=*/4);
+      device::Device prepared_dev(profile, /*workers=*/4);
+      const scc::SccResult plain = scc::ecl_scc(g, plain_dev);
+      const scc::SccResult prepared = scc::ecl_scc(g, input, prepared_dev);
+      const std::string where = name + " " + profile.fault_plan.describe();
+      EXPECT_EQ(prepared.labels, plain.labels) << where;
+      EXPECT_EQ(prepared.labels, oracle) << where;
+      EXPECT_EQ(prepared.metrics.hub_reorder_applied, input.hub.has_value()) << where;
+    }
+  }
+
+  // One input serves any number of solves, and carries the gate's verdict.
+  const auto find = [](const std::string& name) {
+    for (auto& family : all_test_graphs())
+      if (family.name == name) return family.graph;
+    ADD_FAILURE() << "no test graph " << name;
+    return graph::Digraph{};
+  };
+  const graph::Digraph skewed = find("rmat_10");
+  const graph::Digraph mesh = find("profile_mesh_like");
+  for (const auto& [g, gate_fires] : {std::pair{skewed, true}, std::pair{mesh, false}}) {
+    const scc::EclInput input =
+        scc::prepare_ecl_input(g, std::make_shared<const graph::Digraph>(g.reverse()));
+    EXPECT_EQ(input.hub.has_value(), gate_fires);
+    device::Device dev(device::tiny_profile(), /*workers=*/4);
+    for (int run = 0; run < 3; ++run) {
+      const scc::SccResult r = scc::ecl_scc(g, input, dev);
+      EXPECT_EQ(r.labels, tarjan_max_labels(g)) << "run " << run;
+      EXPECT_EQ(r.metrics.hub_reorder_applied, gate_fires) << "run " << run;
+    }
+  }
+
+  // An input of another graph's size is refused, whether it carries a
+  // permuted graph or only a reverse.
+  const graph::Digraph other = graph::cycle_graph(skewed.num_vertices() + 1);
+  device::Device dev(device::tiny_profile());
+  EXPECT_THROW((void)scc::ecl_scc(other, scc::prepare_ecl_input(skewed), dev),
+               std::invalid_argument);
+  EXPECT_THROW((void)scc::ecl_scc(other,
+                                  scc::prepare_ecl_input(
+                                      mesh, std::make_shared<const graph::Digraph>(mesh.reverse())),
+                                  dev),
+               std::invalid_argument);
 }
 
 TEST(EclScc, DeterministicAcrossRunsOnSameDevice) {

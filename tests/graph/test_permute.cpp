@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
+#include <vector>
 
+#include "common/test_graphs.hpp"
 #include "graph/generators.hpp"
 #include "graph/permute.hpp"
 
@@ -36,6 +39,37 @@ TEST(Permute, IdentityPermutationIsNoop) {
   const auto h = graph::apply_permutation(g, identity);
   EXPECT_EQ(std::vector<vid>(h.targets().begin(), h.targets().end()),
             std::vector<vid>(g.targets().begin(), g.targets().end()));
+}
+
+TEST(Permute, ReverseCommutesWithPermutation) {
+  // The service derives the hub-reordered solve graph's reverse by
+  // permuting the graph's reverse; it must be the permuted graph's reverse
+  // in offsets and targets.
+  const auto same_csr = [](const graph::Digraph& a, const graph::Digraph& b) {
+    return std::ranges::equal(a.offsets(), b.offsets()) &&
+           std::ranges::equal(a.targets(), b.targets());
+  };
+  std::vector<std::pair<NamedGraph, std::vector<vid>>> cases;
+  Rng rng(5);
+  for (auto& family : all_test_graphs()) {
+    if (family.name == "rmat_10") {
+      std::vector<vid> hub = graph::hub_clustering_permutation(family.graph);
+      ASSERT_FALSE(hub.empty());
+      cases.emplace_back(family, std::move(hub));
+    }
+    if (family.name == "empty" || family.name == "fig3" || family.name == "cycle_chain_20x5" ||
+        family.name == "rmat_10" || family.name == "profile_giant") {
+      std::vector<vid> perm = graph::random_permutation(family.graph.num_vertices(), rng);
+      cases.emplace_back(std::move(family), std::move(perm));
+    }
+  }
+  ASSERT_EQ(cases.size(), 6u);
+  for (const auto& [family, perm] : cases) {
+    const graph::Digraph& g = family.graph;
+    EXPECT_TRUE(same_csr(graph::apply_permutation(g.reverse(), perm),
+                         graph::apply_permutation(g, perm).reverse()))
+        << family.name;
+  }
 }
 
 TEST(Permute, SizeMismatchThrows) {

@@ -2,11 +2,14 @@
 
 #include <chrono>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/test_graphs.hpp"
 #include "core/registry.hpp"
 #include "core/result.hpp"
+#include "core/tarjan.hpp"
 #include "fleet/device_pool.hpp"
 #include "graph/generators.hpp"
 #include "service/health_registry.hpp"
@@ -283,6 +286,71 @@ TEST(SccService, ConcurrentMixedWorkloadIsConsistent) {
   }
   const auto stats = svc.stats();
   EXPECT_EQ(stats.submitted, 64u);
+}
+
+TEST(SccService, PreparedInputFollowsTheEpoch) {
+  // The ECL solver's prepared input (hub permutation, permuted CSR, its
+  // reverse) is cached per graph epoch. On rmat_10 the hub gate fires, so a
+  // stale input would solve a stale permuted graph. The update batch keeps
+  // the edge count (one insert, one erase), so the input's O(1) size guard
+  // cannot tell the epochs apart: only the epoch key keeps the old input
+  // from being solved, and a labeling of the old graph would fail
+  // certification and be served by the next backend.
+  graph::Digraph g;
+  for (const auto& family : all_test_graphs())
+    if (family.name == "rmat_10") g = family.graph;
+  ASSERT_GT(g.num_vertices(), 0u);
+  ServiceConfig cfg = healthy_config();
+  SccService svc(g, cfg);
+
+  const auto expect_fresh_ecl = [&](const Response& r, const std::string& where) {
+    ASSERT_EQ(r.status, ServiceStatus::kOk) << where << ": " << r.message;
+    EXPECT_EQ(r.served_by.tier, Tier::kFresh) << where;
+    EXPECT_EQ(r.served_by.backend, "ecl-a100") << where;
+    EXPECT_TRUE(r.served_by.certified) << where;
+    EXPECT_EQ(r.served_by.certify_failures, 0u) << where;
+    ASSERT_NE(r.labels, nullptr) << where;
+    const graph::Digraph at_epoch =
+        r.served_by.epoch == 0 ? g : svc.engine().graph_with_epoch().first;
+    EXPECT_TRUE(scc::same_partition(r.labels->labels, scc::tarjan(at_epoch).labels)) << where;
+  };
+  Request labels;
+  labels.kind = RequestKind::kSccLabels;
+  Request with_deadline = labels;
+  with_deadline.deadline = Request::deadline_in(30.0);
+
+  // Two concurrent requests of epoch 0 race to build its input.
+  auto first = svc.submit(labels);
+  auto second = svc.submit(with_deadline);
+  expect_fresh_ecl(first.get(), "epoch 0, no deadline");
+  expect_fresh_ecl(second.get(), "epoch 0, deadline");
+
+  // Insert the reverse of one cross-class edge (merging its two classes)
+  // and erase another cross-class edge.
+  const scc::SccResult before = scc::tarjan(g);
+  std::vector<graph::EdgeUpdate> batch;
+  for (vid u = 0; u < g.num_vertices() && batch.size() < 2; ++u) {
+    for (const vid v : g.out_neighbors(u)) {
+      if (before.labels[u] == before.labels[v] || batch.size() == 2) continue;
+      if (batch.empty())
+        batch.push_back({graph::EdgeUpdate::Kind::kInsert, v, u});
+      else if (batch[0].src != v || batch[0].dst != u)
+        batch.push_back({graph::EdgeUpdate::Kind::kErase, u, v});
+    }
+  }
+  ASSERT_EQ(batch.size(), 2u);
+  Request update;
+  update.kind = RequestKind::kUpdateBatch;
+  update.updates = batch;
+  ASSERT_EQ(svc.call(update).updates_applied, 2u);
+  const graph::Digraph updated = svc.engine().graph_with_epoch().first;
+  ASSERT_EQ(updated.num_edges(), g.num_edges());
+  ASSERT_LT(scc::tarjan(updated).num_components, before.num_components);
+
+  const Response after = svc.call(with_deadline);
+  expect_fresh_ecl(after, "after the update");
+  EXPECT_GE(after.served_by.epoch, 1u);
+  EXPECT_EQ(svc.recovery_stats().certification_failures, 0u);
 }
 
 TEST(SccService, PoolProbationDeviceIsReadmittedByTheWorkThatRunsOnIt) {
