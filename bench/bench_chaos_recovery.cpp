@@ -10,14 +10,15 @@
 //  2. recovery latency — on >= 2 graph families, the mean recovery time via
 //     checkpointed resume (SccMetrics::recovery_seconds: first fault
 //     detection -> converged labels) is <= 0.5x the discard-everything
-//     serial-Tarjan fallback path (the failed run's recovery_seconds plus a
-//     full Tarjan recompute + canonicalization). Both sides must produce a
-//     labeling that passes certify_scc and matches the oracle for the
-//     measurement to count, but the certificate's cost is charged to
-//     NEITHER side — it is the same additive gate on every served result
-//     and is bounded separately by contract 3. The trip is forced
-//     deterministically by shrinking the watchdog's Phase-2 sweep budget
-//     below the family's measured fault-free sweep count;
+//     serial-Tarjan fallback path (the failed run's recovery_seconds plus
+//     the ladder's Tarjan rung, complete_with_tarjan over the whole graph).
+//     Both sides must produce a labeling that passes certify_scc and
+//     matches the oracle for the measurement to count, but the
+//     certificate's cost is charged to NEITHER side — it is the same
+//     additive gate on every served result and is bounded separately by
+//     contract 3. The trip is forced deterministically by shrinking the
+//     watchdog's Phase-2 sweep budget below the family's measured
+//     fault-free sweep count;
 //  3. certifier overhead — on the fault-free hot path, certify_scc costs
 //     <= 5% of the solver run on at least one family (big-graph runs are
 //     the hot path; tiny graphs are launch-overhead-dominated). Measured in
@@ -186,9 +187,9 @@ Containment run_containment(bool smoke) {
 //    SccMetrics::recovery_seconds measures exactly this span.
 //  * fallback — the pre-§12 escalation run_resilient used: the trip
 //    discards the run (StallPolicy::kReturnError; its recovery_seconds
-//    covers the abort) and a full serial Tarjan recomputes from scratch,
-//    plus the canonicalization every index-named labeling needs before it
-//    can be served (core/registry.cpp).
+//    covers the abort) and the ladder's Tarjan rung recomputes from
+//    scratch: serial Tarjan with every class named by its largest member
+//    (complete_with_tarjan, core/tarjan.hpp).
 //
 // Both sides must still hand back a labeling that passes certify_scc and
 // matches the Tarjan oracle — a recovery that produced garbage does not
@@ -266,17 +267,17 @@ double measure_resume(const Family& fam, const scc::SccResult& oracle, const Fau
 }
 
 /// One fallback-side measurement: same burst, pre-§12 escalation. The trip
-/// discards the run; the charged time is the abort drain plus the serial
-/// Tarjan recompute + canonicalization. The certificate + oracle match are
-/// validity gates outside the timed region.
+/// discards the run; the charged time is the abort drain plus the ladder's
+/// Tarjan rung. The certificate + oracle match are validity gates outside
+/// the timed region.
 double measure_fallback(const Family& fam, const scc::SccResult& oracle, const FaultPlan& plan,
                         std::uint64_t budget) {
   device::Device dev(profile_with(plan));
   const scc::SccResult r = scc::ecl_scc(fam.graph, dev, fallback_options(budget));
   if (r.ok() || r.metrics.watchdog_trips < 1) return -1.0;  // burst missed the run
   Timer recompute_timer;
-  scc::SccResult serial = scc::tarjan(fam.graph);
-  scc::canonicalize_labels(serial.labels);
+  scc::SccResult serial;
+  scc::complete_with_tarjan(fam.graph, serial);  // the ladder's Tarjan rung
   const double recompute = recompute_timer.seconds();
   if (!scc::certify_scc(fam.graph, serial.labels).ok ||
       !scc::same_partition(serial.labels, oracle.labels))

@@ -154,7 +154,7 @@ fleet::ShardedOptions discard_options(std::uint64_t budget) {
   fleet::ShardedOptions o;
   o.shards = kShards;
   o.certify = false;
-  o.checkpoint.enabled = false;
+  o.checkpoint = false;
   o.ecl.watchdog.max_phase2_rounds = budget;
   return o;
 }

@@ -13,7 +13,6 @@
 #include "graph/condensation.hpp"
 #include "graph/degree_stats.hpp"
 #include "graph/permute.hpp"
-#include "graph/subgraph.hpp"
 #include "support/timer.hpp"
 
 namespace ecl::scc {
@@ -184,9 +183,10 @@ struct WorklistLinks {
 };
 
 // The per-edge propagation bodies (monotone store dispatch, path
-// compression, fault semantics) live in core/propagate.hpp, shared with the
-// fleet's sharded engine (DESIGN.md §13) so both run the exact same update
-// rule. BlockPasses below applies them to the solver's EclState.
+// compression, fault semantics), detection and Phase 3 live in
+// core/propagate.hpp, shared with the fleet's sharded engine (DESIGN.md
+// §13) so both run the exact same rules. BlockPasses below applies the
+// per-edge body to the solver's EclState.
 
 // --- Checkpointed resume (DESIGN.md §12) -----------------------------------
 //
@@ -231,9 +231,8 @@ void restamp_epochs(EclState& st) {
   st.changed.store(0, std::memory_order_relaxed);
 }
 
-// grid_size and for_each_owned live in core/propagate.hpp (shared with the
-// fleet's per-shard kernels).
-using detail::for_each_owned;
+// grid_size lives in core/propagate.hpp (shared with the fleet's per-shard
+// kernels).
 using detail::grid_size;
 
 // --- In-block passes (DESIGN.md §10) ----------------------------------------
@@ -580,99 +579,6 @@ bool phase2_propagate(EclState& st, device::Device& dev, const EclOptions& opts,
   return true;
 }
 
-void detect_components(EclState& st, device::Device& dev, const EclOptions& opts) {
-  const std::uint64_t n = st.n;
-  const vid* const vertex_of = st.vertices();
-  // Idempotent: already-labeled vertices are skipped, so a spurious replay
-  // finds nothing new to label and adds 0 to the labeled counter. Under the
-  // random order a vertex is labelled by the member with the top priority;
-  // ecl_scc renames every class by its largest member afterwards.
-  dev.launch(
-      grid_size(dev, n, opts.persistent_threads),
-      [&](const BlockContext& ctx) {
-        std::uint64_t local = 0;
-        ctx.for_each_chunk(n, [&](std::uint64_t lo, std::uint64_t hi) {
-          for (std::uint64_t v = lo; v < hi; ++v) {
-            if (st.labels[v] != graph::kInvalidVid) continue;
-            const std::uint32_t i = st.sigs.vin(v).load(std::memory_order_relaxed);
-            const std::uint32_t o = st.sigs.vout(v).load(std::memory_order_relaxed);
-            if (i == o) {
-              st.labels[v] = vertex_of ? vertex_of[i] : i;
-              ++local;
-            }
-          }
-        });
-        st.labeled.fetch_add(local, std::memory_order_relaxed);
-      },
-      {.idempotent = true});
-}
-
-void phase3_remove_edges(EclState& st, device::Device& dev, const EclOptions& opts,
-                         SccMetrics& metrics) {
-  const auto edges = st.worklist.edges();
-  const std::uint64_t m = edges.size();
-  if (m == 0) return;
-  dev.launch(
-      grid_size(dev, m, opts.persistent_threads),
-      [&](const BlockContext& ctx) {
-        // Chunked reservation (DESIGN.md §10): survivors are staged per block
-        // and committed with one cursor fetch_add per chunk. The appender's
-        // destructor flushes the partial last chunk before the grid barrier.
-        EdgeWorklist::ChunkAppender chunk(st.worklist);
-        std::uint64_t local_examined = 0;
-        for_each_owned(ctx, m, [&](std::uint64_t lo, std::uint64_t hi) {
-          local_examined += hi - lo;
-          for (std::uint64_t i = lo; i < hi; ++i) {
-            const graph::Edge e = edges[i];
-            const std::uint32_t iu = st.sigs.vin(e.src).load(std::memory_order_relaxed);
-            const std::uint32_t iv = st.sigs.vin(e.dst).load(std::memory_order_relaxed);
-            const std::uint32_t ou = st.sigs.vout(e.src).load(std::memory_order_relaxed);
-            const std::uint32_t ov = st.sigs.vout(e.dst).load(std::memory_order_relaxed);
-            if (iu != iv || ou != ov) continue;  // spans SCCs: drop
-            if (opts.remove_scc_edges && st.labels[e.src] != graph::kInvalidVid)
-              continue;  // inside a completed SCC: no longer needed (§3.3)
-            chunk.push(e);
-          }
-        });
-        dev.record_block_work(ctx.block_id, local_examined);
-      },
-      {.idempotent = false});
-  const std::size_t before = st.worklist.size();
-  st.worklist.swap_buffers();
-  metrics.edges_removed += before - st.worklist.size();
-}
-
-/// Completes a partial labeling by running Tarjan on the residual subgraph
-/// of still-unlabeled vertices. The labeled set at any break point is a
-/// union of complete SCCs (detect_components only labels from converged
-/// signatures, and a stalled Phase 2 breaks before detection), so the
-/// residual is closed under strong connectivity and can be solved
-/// independently. Each residual component is labeled by its maximum
-/// parent-graph member, preserving the max-ID labeling invariant (§3.2.1).
-void serial_fallback(const Digraph& g, SccResult& result) {
-  const vid n = g.num_vertices();
-  std::vector<std::uint8_t> active(n, 0);
-  std::uint64_t residual = 0;
-  for (vid v = 0; v < n; ++v) {
-    if (result.labels[v] == graph::kInvalidVid) {
-      active[v] = 1;
-      ++residual;
-    }
-  }
-  result.metrics.serial_fallback = true;
-  result.metrics.fallback_vertices = residual;
-  if (residual == 0) return;
-  const graph::Subgraph sub = graph::induced_subgraph(g, active);
-  const SccResult serial = tarjan(sub.graph);
-  std::vector<vid> comp_max(serial.num_components, 0);
-  for (std::size_t i = 0; i < sub.to_parent.size(); ++i) {
-    vid& top = comp_max[serial.labels[i]];
-    top = std::max(top, sub.to_parent[i]);
-  }
-  for (std::size_t i = 0; i < sub.to_parent.size(); ++i)
-    result.labels[sub.to_parent[i]] = comp_max[serial.labels[i]];
-}
-
 /// Renames every component by its maximum ORIGINAL member, translating
 /// labels computed on the hub-reordered graph back to original vertex IDs
 /// when `perm` is non-empty (an empty `perm` is the identity). This makes a
@@ -838,8 +744,14 @@ SccResult solve(const Digraph& g, const Digraph* reverse, device::Device& dev,
       break;
     }
     phase_timer.reset();
-    detect_components(st, dev, opts);
-    phase3_remove_edges(st, dev, opts, result.metrics);
+    // Under the random order a vertex is labelled by the member with the
+    // top priority; ecl_scc renames every class by its largest member
+    // afterwards.
+    st.labeled.fetch_add(detail::detect_components(dev, opts, st.sigs, st.vertices(), 0, n,
+                                                   st.labels),
+                         std::memory_order_relaxed);
+    result.metrics.edges_removed +=
+        detail::phase3_remove_edges(dev, opts, st.sigs, st.labels, st.worklist);
     result.metrics.phase3_seconds += phase_timer.seconds();
 
     if (st.worklist.overflowed()) {
@@ -884,11 +796,14 @@ SccResult solve(const Digraph& g, const Digraph* reverse, device::Device& dev,
   dev.stats().hashbag_rounds += result.metrics.hashbag_rounds;
 
   result.labels = std::move(st.labels);
-  if (result.error && opts.stall_policy == StallPolicy::kSerialFallback)
-    serial_fallback(g, result);
-  if (!result.error || result.metrics.serial_fallback) {
+  if (!result.error) {
     std::vector<vid> dense(result.labels.begin(), result.labels.end());
     result.num_components = graph::normalize_labels(dense);
+  } else if (opts.stall_policy == StallPolicy::kSerialFallback) {
+    // The labelled set at any break is a union of whole classes: detection
+    // labels only from converged signatures, and a stalled Phase 2 breaks
+    // before it.
+    complete_with_tarjan(g, result);
   }
   // Time-to-good-result after the FIRST fault manifestation, including any
   // serial fallback: the quantity bench_chaos_recovery compares between the

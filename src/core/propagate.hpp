@@ -1,18 +1,20 @@
 #ifndef ECL_CORE_PROPAGATE_HPP
 #define ECL_CORE_PROPAGATE_HPP
 
-// Per-edge Phase-2 propagation primitives, shared between the single-device
-// solver (ecl_scc.cpp) and the fleet's sharded engine (src/fleet/).
+// Algorithm 1's rules as kernels, shared between the single-device solver
+// (ecl_scc.cpp) and the fleet's sharded engine (src/fleet/): the per-edge
+// Phase-2 update, component detection and Phase 3's edge removal.
 //
 // The sharded fixpoint (DESIGN.md §13) is only bit-identical to a
-// single-device run because every shard executes the SAME monotone store and
+// single-device run because every shard executes the SAME monotone store,
 // the SAME per-edge update rule — including path compression's lift writes
-// and the chaos device's store-fault semantics. Extracting the primitives
-// here keeps that "same rule" property a fact of the build rather than a
-// convention between two copies of the code.
+// and the chaos device's store-fault semantics — and the SAME detection and
+// removal predicates. Keeping one copy of each here makes that "same rule"
+// property a fact of the build rather than a convention between two copies
+// of the code.
 //
-// Everything operates on a SigView: the slice of solver state the per-edge
-// update needs (the signature arrays plus the device's fault hook). The
+// The per-edge update operates on a SigView: the slice of solver state it
+// needs (the signature arrays plus the device's fault hook). The
 // single-device EclState and a fleet shard replica both provide exactly
 // this slice.
 
@@ -28,6 +30,7 @@
 #include "device/fault.hpp"
 #include "device/hash_bag.hpp"
 #include "device/signature_store.hpp"
+#include "device/worklist.hpp"
 #include "graph/digraph.hpp"
 
 namespace ecl::scc::detail {
@@ -148,6 +151,80 @@ inline bool propagate_edge(const SigView& st, graph::Edge e, const EclOptions& o
     any |= store_max(st, st.sigs.vin(v), v, iu, round);
   }
   return any;
+}
+
+/// Component detection over the vertices [begin, end): an unlabelled vertex
+/// whose signatures agree (vin = vout) is labelled with the vertex its
+/// signature names (`vertex_of[sig]`; the signature itself when `vertex_of`
+/// is null, the vertex-ID order). Returns the number labelled. Idempotent:
+/// labelled vertices are skipped, so a replayed block labels nothing twice.
+inline std::uint64_t detect_components(device::Device& dev, const EclOptions& opts,
+                                       device::SignatureStore& sigs, const vid* vertex_of,
+                                       vid begin, vid end, std::span<vid> labels) {
+  const std::uint64_t span = end - begin;
+  if (span == 0) return 0;
+  std::atomic<std::uint64_t> labeled{0};
+  dev.launch(
+      grid_size(dev, span, opts.persistent_threads),
+      [&](const device::BlockContext& ctx) {
+        std::uint64_t local = 0;
+        ctx.for_each_chunk(span, [&](std::uint64_t lo, std::uint64_t hi) {
+          for (std::uint64_t i = lo; i < hi; ++i) {
+            const vid v = begin + static_cast<vid>(i);
+            if (labels[v] != graph::kInvalidVid) continue;
+            const std::uint32_t in = sigs.vin(v).load(std::memory_order_relaxed);
+            const std::uint32_t out = sigs.vout(v).load(std::memory_order_relaxed);
+            if (in == out) {
+              labels[v] = vertex_of ? vertex_of[in] : in;
+              ++local;
+            }
+          }
+        });
+        labeled.fetch_add(local, std::memory_order_relaxed);
+      },
+      {.idempotent = true});
+  return labeled.load(std::memory_order_relaxed);
+}
+
+/// Phase 3 (Algorithm 1) over `worklist`: an edge whose endpoints disagree
+/// on either signature spans two classes and is dropped, and under
+/// remove_scc_edges so is one whose source is labelled, inside a completed
+/// class (§3.3). Returns the number of edges removed.
+inline std::uint64_t phase3_remove_edges(device::Device& dev, const EclOptions& opts,
+                                         device::SignatureStore& sigs,
+                                         std::span<const vid> labels,
+                                         device::EdgeWorklist& worklist) {
+  const auto edges = worklist.edges();
+  const std::uint64_t m = edges.size();
+  if (m == 0) return 0;
+  dev.launch(
+      grid_size(dev, m, opts.persistent_threads),
+      [&](const device::BlockContext& ctx) {
+        // Chunked reservation (DESIGN.md §10): survivors are staged per block
+        // and committed with one cursor fetch_add per chunk. The appender's
+        // destructor flushes the partial last chunk before the grid barrier.
+        device::EdgeWorklist::ChunkAppender chunk(worklist);
+        std::uint64_t local_examined = 0;
+        for_each_owned(ctx, m, [&](std::uint64_t lo, std::uint64_t hi) {
+          local_examined += hi - lo;
+          for (std::uint64_t i = lo; i < hi; ++i) {
+            const graph::Edge e = edges[i];
+            const std::uint32_t iu = sigs.vin(e.src).load(std::memory_order_relaxed);
+            const std::uint32_t iv = sigs.vin(e.dst).load(std::memory_order_relaxed);
+            const std::uint32_t ou = sigs.vout(e.src).load(std::memory_order_relaxed);
+            const std::uint32_t ov = sigs.vout(e.dst).load(std::memory_order_relaxed);
+            if (iu != iv || ou != ov) continue;  // spans SCCs: drop
+            if (opts.remove_scc_edges && labels[e.src] != graph::kInvalidVid)
+              continue;  // inside a completed SCC: no longer needed (§3.3)
+            chunk.push(e);
+          }
+        });
+        dev.record_block_work(ctx.block_id, local_examined);
+      },
+      {.idempotent = false});
+  const std::size_t before = worklist.size();
+  worklist.swap_buffers();
+  return before - worklist.size();
 }
 
 // ---------------------------------------------------------------------------

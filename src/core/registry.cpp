@@ -190,7 +190,8 @@ bool certified(const Digraph& g, SccResult& result, const Digraph* reverse_hint 
 }
 
 /// Recovery bookkeeping carried across ladder rungs so the served result
-/// accounts for everything spent reaching it.
+/// accounts for everything spent reaching it, the sharded engine's fleet
+/// counters included (DESIGN.md §14).
 void merge_recovery_metrics(SccMetrics& into, const SccMetrics& from) {
   into.checkpoints_taken += from.checkpoints_taken;
   into.resumes += from.resumes;
@@ -199,11 +200,20 @@ void merge_recovery_metrics(SccMetrics& into, const SccMetrics& from) {
   into.certify_seconds += from.certify_seconds;
   into.fresh_reruns += from.fresh_reruns;
   into.recovery_seconds += from.recovery_seconds;
+  into.exchange_rounds += from.exchange_rounds;
+  into.failovers += from.failovers;
+  into.shards_rehomed += from.shards_rehomed;
+  into.stragglers_flagged += from.stragglers_flagged;
+  into.straggler_migrations += from.straggler_migrations;
+  into.pool_last_resort = into.pool_last_resort || from.pool_last_resort;
 }
 
-/// Shared tail of the resilient entry points — the bounded recovery ladder
-/// (DESIGN.md §12). Rung 1, checkpointed replay, lives INSIDE the solver
-/// (EclOptions::checkpoint); this wrapper adds the outer rungs:
+}  // namespace
+
+/// The bounded recovery ladder (DESIGN.md §12). Rung 1, checkpointed
+/// resume, lives INSIDE the solver (EclOptions::checkpoint), and the
+/// sharded engine's failover inside its coordinator (§14); this adds the
+/// outer rungs:
 ///
 ///   primary attempt ──certify──> serve
 ///        │ (incomplete / uncertified)
@@ -216,16 +226,15 @@ void merge_recovery_metrics(SccMetrics& into, const SccMetrics& from) {
 /// was survived. A result that fails certification is NEVER served as
 /// trustworthy — the final rung's labels travel with kCertificationFailed
 /// and metrics.certified == false so service layers refuse them.
-SccResult run_resilient_impl(const SccAlgorithm& algorithm, const Digraph& g,
-                             const Digraph* reverse_hint = nullptr) {
-  SccResult result = run_attempt(algorithm, g);
+SccResult run_resilient(const SccAlgorithm& attempt, const Digraph& g,
+                        const Digraph* reverse_hint) {
+  SccResult result = run_attempt(attempt, g);
   // Every rung certifies against the same graph, so the reverse adjacency
   // (labeling-independent) is built once and shared. On the clean path this
   // is exactly the build certify_scc would have done internally; on the
   // recovery rungs it cuts each extra certification by one O(V+E) pass.
-  // A caller that already holds the reverse (the fleet's stitched-shard
-  // certification, the service's per-epoch cache) passes it as
-  // `reverse_hint` so it is not rebuilt per call.
+  // A caller that already holds the reverse (the service's per-epoch
+  // cache) passes it as `reverse_hint` so it is not rebuilt per call.
   std::optional<Digraph> local_reverse;
   if (reverse_hint == nullptr) {
     local_reverse.emplace(g.reverse());
@@ -237,39 +246,33 @@ SccResult run_resilient_impl(const SccAlgorithm& algorithm, const Digraph& g,
   // Rung 2: one full fresh rerun. The schedule, launch ordering, and any
   // transient fault window differ, so a corruption that slipped past the
   // solver's internal replay often clears here.
-  SccResult rerun = run_attempt(algorithm, g);
+  SccResult rerun = run_attempt(attempt, g);
   merge_recovery_metrics(rerun.metrics, result.metrics);
   ++rerun.metrics.fresh_reruns;
   if (certified(g, rerun, &reverse)) return rerun;
 
-  // Rung 3: serial Tarjan on the host — no device, no faults. Certified
+  // Rung 3: serial Tarjan on the host — no device, no faults — with every
+  // class named by its largest member, as the solvers name them. Certified
   // like every other rung; a rejection here (which would mean the reference
   // implementation itself is wrong) is surfaced, not masked.
   SccResult final = std::move(rerun);
-  SccResult serial = tarjan(g);
-  canonicalize_labels(serial.labels);  // certifier requires member naming
-  final.labels = std::move(serial.labels);
-  final.num_components = serial.num_components;
-  final.metrics.serial_fallback = true;
-  final.metrics.fallback_vertices = g.num_vertices();
+  final.labels.assign(g.num_vertices(), graph::kInvalidVid);
+  complete_with_tarjan(g, final);
   final.metrics.certified = false;
   if (const SccError ladder_error = final.error; certified(g, final, &reverse))
     final.error = ladder_error;  // keep what was survived, labels are good
   return final;
 }
 
-}  // namespace
-
 SccResult run_resilient(const std::string& name, const Digraph& g,
                         const Digraph* reverse_hint) {
-  const SccAlgorithm algorithm = find_algorithm(name);  // unknown name: throws
-  return run_resilient_impl(algorithm, g, reverse_hint);
+  return run_resilient(find_algorithm(name), g, reverse_hint);  // unknown name: throws
 }
 
 SccResult run_resilient_on(const std::string& name, const Digraph& g, device::Device& dev,
                            const Digraph* reverse_hint) {
   (void)find_algorithm(name);  // unknown name: throws before we touch the device
-  return run_resilient_impl(
+  return run_resilient(
       [&name, &dev](const Digraph& graph) { return run_algorithm_on(name, graph, dev); }, g,
       reverse_hint);
 }

@@ -49,27 +49,34 @@ bool algorithm_reads_ecl_input(const std::string& name);
 SccResult run_algorithm_on(const std::string& name, const Digraph& g, device::Device& dev,
                            const EclInput* input = nullptr);
 
-/// Resilient entry point: runs the named configuration, converts any thrown
-/// exception into SccStatus::kException, intrinsically verifies the
-/// labeling (verify_scc), and — whenever the labels are missing, partial,
-/// or fail verification — recomputes them with serial Tarjan, recording the
-/// fallback in SccMetrics. Always returns a complete, verified labeling;
-/// `error` still reports what went wrong with the primary run. Unknown
-/// names still throw std::invalid_argument (a caller bug, not a fault).
+/// The recovery ladder (DESIGN.md §12) around the caller's `attempt`: runs
+/// it on g, converting a thrown exception into SccStatus::kException, and
+/// certifies the labels with the online certifier (certify_scc). An
+/// incomplete or rejected labeling is rerun once (fresh_reruns = 1), and a
+/// second rejection is served by serial Tarjan with every class named by
+/// its largest member (complete_with_tarjan, core/tarjan.hpp), recorded as
+/// metrics.serial_fallback. Always returns a complete labeling;
+/// metrics.certified says whether it passed the certificate, and `error`
+/// still reports what went wrong on the way. The sharded engine
+/// (fleet/sharded_scc.hpp) serves through this ladder too.
 ///
 /// `reverse_hint`, when non-null, must be the reverse of `g`; the
 /// certification rungs then skip their own O(V+E) reverse build. Callers
-/// that certify many results against one graph (the fleet's stitched-shard
-/// certificate, the service's per-epoch cache) build the reverse exactly
-/// once and thread it through here.
+/// that certify many results against one graph (the service's per-epoch
+/// cache) build the reverse exactly once and thread it through here.
+SccResult run_resilient(const SccAlgorithm& attempt, const Digraph& g,
+                        const Digraph* reverse_hint = nullptr);
+
+/// The ladder above around the named configuration. Unknown names throw
+/// std::invalid_argument (a caller bug, not a fault).
 SccResult run_resilient(const std::string& name, const Digraph& g,
                         const Digraph* reverse_hint = nullptr);
 
 /// run_resilient with the caller's device: device-backed configurations run
 /// on `dev` (honoring its fault plan — the hook the dynamic subsystem's
 /// chaos tests use to perturb full rebuilds), CPU configurations ignore it.
-/// The same always-complete, always-verified contract as run_resilient,
-/// including the shared `reverse_hint` amortization.
+/// The same ladder as run_resilient, including the shared `reverse_hint`
+/// amortization.
 SccResult run_resilient_on(const std::string& name, const Digraph& g, device::Device& dev,
                            const Digraph* reverse_hint = nullptr);
 

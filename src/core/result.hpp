@@ -25,7 +25,8 @@ enum class SccStatus : std::uint8_t {
   kWorklistOverflow,  ///< EdgeWorklist append ran past capacity
   kIterationGuard,    ///< outer loop exceeded its iteration budget
   kException,         ///< the algorithm threw (caught by run_resilient)
-  kVerifyFailed,      ///< labeling rejected by verify_scc (run_resilient)
+  kVerifyFailed,      ///< incomplete labeling, rejected by the
+                      ///< certification gate (run_resilient)
   kDeadlineExceeded,  ///< the run's wall-clock deadline passed (watchdog /
                       ///< run_with_deadline); labels may be partial
   kCertificationFailed,  ///< labeling rejected by the online certifier

@@ -1,6 +1,10 @@
 #include "core/tarjan.hpp"
 
 #include <algorithm>
+#include <optional>
+
+#include "graph/condensation.hpp"
+#include "graph/subgraph.hpp"
 
 namespace ecl::scc {
 
@@ -71,6 +75,35 @@ SccResult tarjan(const Digraph& g) {
 
   result.num_components = next_component;
   return result;
+}
+
+void complete_with_tarjan(const Digraph& g, SccResult& result) {
+  const vid n = g.num_vertices();
+  result.labels.resize(n, graph::kInvalidVid);
+  std::vector<std::uint8_t> active(n, 0);
+  std::uint64_t residual = 0;
+  for (vid v = 0; v < n; ++v) {
+    if (result.labels[v] == graph::kInvalidVid) {
+      active[v] = 1;
+      ++residual;
+    }
+  }
+  result.metrics.serial_fallback = true;
+  result.metrics.fallback_vertices = residual;
+  if (residual != 0) {
+    // A wholly unlabelled graph is solved in place, not copied.
+    std::optional<graph::Subgraph> sub;
+    if (residual < n) sub.emplace(graph::induced_subgraph(g, active));
+    const auto parent = [&sub](vid i) { return sub ? sub->to_parent[i] : i; };
+    const SccResult serial = tarjan(sub ? sub->graph : g);
+    const vid local = static_cast<vid>(serial.labels.size());
+    std::vector<vid> top(serial.num_components, 0);
+    for (vid i = 0; i < local; ++i)
+      top[serial.labels[i]] = std::max(top[serial.labels[i]], parent(i));
+    for (vid i = 0; i < local; ++i) result.labels[parent(i)] = top[serial.labels[i]];
+  }
+  std::vector<vid> dense(result.labels.begin(), result.labels.end());
+  result.num_components = graph::normalize_labels(dense);
 }
 
 }  // namespace ecl::scc

@@ -14,6 +14,16 @@ namespace ecl::scc {
 /// topological discovery order (a component is numbered when popped).
 SccResult tarjan(const Digraph& g);
 
+/// The serial completion behind every fallback: runs Tarjan on the subgraph
+/// induced by the vertices `result.labels` leaves unlabelled
+/// (graph::kInvalidVid; labels shorter than g count as unlabelled at the
+/// tail) and names each of its classes by its largest member, the ECL-SCC
+/// naming (§3.2.1). The labelled vertices must form a union of whole
+/// classes, as every solver's partial labeling does, so the residual solves
+/// on its own. Sets num_components over the whole labeling, and
+/// metrics.serial_fallback and fallback_vertices (the residual's size).
+void complete_with_tarjan(const Digraph& g, SccResult& result);
+
 }  // namespace ecl::scc
 
 #endif  // ECL_CORE_TARJAN_HPP

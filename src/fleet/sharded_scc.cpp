@@ -11,15 +11,14 @@
 #include <vector>
 
 #include "core/propagate.hpp"
+#include "core/registry.hpp"
 #include "core/tarjan.hpp"
-#include "core/verify.hpp"
 #include "core/watchdog.hpp"
 #include "device/atomics.hpp"
 #include "device/signature_store.hpp"
 #include "device/worklist.hpp"
 #include "fleet/graph_router.hpp"
 #include "graph/condensation.hpp"
-#include "graph/subgraph.hpp"
 #include "support/timer.hpp"
 
 namespace ecl::fleet {
@@ -32,7 +31,6 @@ using graph::eid;
 using graph::vid;
 using scc::EclOptions;
 using scc::SccError;
-using scc::SccMetrics;
 using scc::SccStatus;
 using Timer = ecl::Timer;
 
@@ -85,79 +83,13 @@ struct FleetCheckpoint {
   std::uint64_t edges_removed = 0;
 };
 
-/// Completes a partial labeling with Tarjan on the unlabeled residual,
-/// naming each residual component by its maximum parent member — the same
-/// degradation the single-device solver applies, so even a tripped sharded
-/// run returns labels in ECL's max-ID namespace.
-void serial_fallback_max(const Digraph& g, SccResult& result) {
-  const vid n = g.num_vertices();
-  std::vector<std::uint8_t> active(n, 0);
-  std::uint64_t residual = 0;
-  for (vid v = 0; v < n; ++v) {
-    if (result.labels[v] == graph::kInvalidVid) {
-      active[v] = 1;
-      ++residual;
-    }
-  }
-  result.metrics.serial_fallback = true;
-  result.metrics.fallback_vertices = residual;
-  if (residual == 0) return;
-  const graph::Subgraph sub = graph::induced_subgraph(g, active);
-  const SccResult serial = scc::tarjan(sub.graph);
-  std::vector<vid> comp_max(serial.num_components, 0);
-  for (std::size_t i = 0; i < sub.to_parent.size(); ++i) {
-    vid& top = comp_max[serial.labels[i]];
-    top = std::max(top, sub.to_parent[i]);
-  }
-  for (std::size_t i = 0; i < sub.to_parent.size(); ++i)
-    result.labels[sub.to_parent[i]] = comp_max[serial.labels[i]];
-}
-
-/// Certification gate, mirroring the registry ladder's: complete labels AND
-/// a passing certificate, errors upgraded to the structured cause.
-bool certified(const Digraph& g, SccResult& result, const Digraph* reverse_hint) {
-  const bool complete =
-      result.labels.size() == g.num_vertices() &&
-      std::none_of(result.labels.begin(), result.labels.end(),
-                   [](vid l) { return l == graph::kInvalidVid; });
-  if (!complete) {
-    if (result.ok()) result.error = {SccStatus::kVerifyFailed, "labeling is incomplete"};
-    return false;
-  }
-  scc::CertifyOptions copts;
-  copts.reverse_hint = reverse_hint;
-  const scc::CertifyReport cert = scc::certify_scc(g, result.labels, copts);
-  result.metrics.certify_seconds += cert.seconds;
-  if (cert.ok) {
-    result.metrics.certified = true;
-    return true;
-  }
-  result.error = {SccStatus::kCertificationFailed, cert.message};
-  return false;
-}
-
-void merge_recovery_metrics(SccMetrics& into, const SccMetrics& from) {
-  into.watchdog_trips += from.watchdog_trips;
-  into.certify_seconds += from.certify_seconds;
-  into.fresh_reruns += from.fresh_reruns;
-  into.exchange_rounds += from.exchange_rounds;
-  into.checkpoints_taken += from.checkpoints_taken;
-  into.resumes += from.resumes;
-  into.rounds_replayed += from.rounds_replayed;
-  into.recovery_seconds += from.recovery_seconds;
-  into.failovers += from.failovers;
-  into.shards_rehomed += from.shards_rehomed;
-  into.stragglers_flagged += from.stragglers_flagged;
-  into.straggler_migrations += from.straggler_migrations;
-  into.pool_last_resort = into.pool_last_resort || from.pool_last_resort;
-}
-
 /// One full lockstep sharded run (no certification — the ladder wraps it).
 /// `holders` receives the devices that hold a shard when the run ends.
-SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shards,
-                           const ShardedOptions& opts, const EclOptions& eo,
+SccResult run_sharded_once(const Digraph& g, DevicePool& pool, const ShardedOptions& opts,
                            std::vector<std::size_t>& holders) {
   const vid n = g.num_vertices();
+  const unsigned num_shards = std::max(1u, opts.shards);
+  const EclOptions& eo = opts.ecl;
   SccResult result;
   result.metrics.shards = num_shards;
   if (n == 0) return result;
@@ -302,6 +234,11 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
 
   // One propagation sweep over the shard's own edges (async mode re-iterates
   // blocks to a local fixed point, exactly like the single-device kernel).
+  // It passes round 0, so no frontier epoch is stamped (an exchange-raised
+  // value would have to re-stamp foreign epochs), and feeds no hash bag (a
+  // shard's bag cannot see exchange-raised boundary values). Chases stay in
+  // the shard: its chain index covers only its owned edges, so the boundary
+  // exchange remains the sole cross-shard channel.
   const auto sweep = [&](Shard& sh) {
     const auto edges = sh.worklist->edges();
     const std::uint64_t m = edges.size();
@@ -401,28 +338,9 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
   // replica holds the true fixpoint for its range, and owned ranges are
   // disjoint so the shared label array is written race-free.
   const auto detect = [&](Shard& sh) {
-    const std::uint64_t span = sh.end - sh.begin;
-    if (span == 0) return;
-    device::Device& dev = pool.at(sh.device);
-    dev.launch(
-        scc::detail::grid_size(dev, span, eo.persistent_threads),
-        [&](const BlockContext& ctx) {
-          std::uint64_t local = 0;
-          ctx.for_each_chunk(span, [&](std::uint64_t lo, std::uint64_t hi) {
-            for (std::uint64_t i = lo; i < hi; ++i) {
-              const vid v = sh.begin + static_cast<vid>(i);
-              if (labels[v] != graph::kInvalidVid) continue;
-              const std::uint32_t in = sh.sigs->vin(v).load(std::memory_order_relaxed);
-              const std::uint32_t out = sh.sigs->vout(v).load(std::memory_order_relaxed);
-              if (in == out) {
-                labels[v] = in;
-                ++local;
-              }
-            }
-          });
-          labeled.fetch_add(local, std::memory_order_relaxed);
-        },
-        {.idempotent = true});
+    labeled.fetch_add(scc::detail::detect_components(pool.at(sh.device), eo, *sh.sigs, nullptr,
+                                                     sh.begin, sh.end, labels),
+                      std::memory_order_relaxed);
   };
 
   // Phase 3 on the shard's own worklist. Cross-shard targets are boundary
@@ -430,36 +348,10 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
   // BOTH endpoints of every owned edge — the drop predicate is evaluated on
   // exactly the values a single-device run would use.
   const auto phase3 = [&](Shard& sh) {
-    const auto edges = sh.worklist->edges();
-    const std::uint64_t m = edges.size();
-    if (m == 0) return;
-    device::Device& dev = pool.at(sh.device);
-    dev.launch(
-        scc::detail::grid_size(dev, m, eo.persistent_threads),
-        [&](const BlockContext& ctx) {
-          EdgeWorklist::ChunkAppender chunk(*sh.worklist);
-          std::uint64_t local_examined = 0;
-          scc::detail::for_each_owned(ctx, m, [&](std::uint64_t lo, std::uint64_t hi) {
-            local_examined += hi - lo;
-            for (std::uint64_t i = lo; i < hi; ++i) {
-              const graph::Edge e = edges[i];
-              const std::uint32_t iu = sh.sigs->vin(e.src).load(std::memory_order_relaxed);
-              const std::uint32_t iv = sh.sigs->vin(e.dst).load(std::memory_order_relaxed);
-              const std::uint32_t ou = sh.sigs->vout(e.src).load(std::memory_order_relaxed);
-              const std::uint32_t ov = sh.sigs->vout(e.dst).load(std::memory_order_relaxed);
-              if (iu != iv || ou != ov) continue;  // spans SCCs: drop
-              if (eo.remove_scc_edges && labels[e.src] != graph::kInvalidVid)
-                continue;  // inside a completed SCC (§3.3)
-              chunk.push(e);
-            }
-          });
-          dev.record_block_work(ctx.block_id, local_examined);
-        },
-        {.idempotent = false});
-    const std::size_t before = sh.worklist->size();
-    sh.worklist->swap_buffers();
+    edges_removed.fetch_add(
+        scc::detail::phase3_remove_edges(pool.at(sh.device), eo, *sh.sigs, labels, *sh.worklist),
+        std::memory_order_relaxed);
     sh.chain_dirty = true;  // worklist changed: next sweep rebuilds the chains
-    edges_removed.fetch_add(before - sh.worklist->size(), std::memory_order_relaxed);
   };
 
   // ---- Self-healing machinery (DESIGN.md §14) ------------------------------
@@ -470,7 +362,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
   std::optional<Timer> recovery_timer;  ///< armed at the FIRST fault detection
 
   const auto take_checkpoint = [&] {
-    if (!opts.checkpoint.enabled) return;
+    if (!opts.checkpoint) return;
     const Timer timer;
     ckpt.labels = labels;
     ckpt.labeled = labeled.load(std::memory_order_relaxed);
@@ -557,8 +449,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
       ejected[d] = 1;
       pool.record(d, service::FaultKind::kStall);
     }
-    if (!ckpt.valid || survivor_count() < opts.min_devices ||
-        result.metrics.failovers >= opts.max_failovers)
+    if (!ckpt.valid || survivor_count() == 0 || result.metrics.failovers >= opts.max_failovers)
       return false;
     ++result.metrics.failovers;
     if (!rehome_orphans()) return false;
@@ -585,9 +476,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
     }
     if (!any) return 0;
     if (!recovery_timer) recovery_timer.emplace();
-    if (survivor_count() < opts.min_devices ||
-        result.metrics.failovers >= opts.max_failovers)
-      return -1;
+    if (survivor_count() == 0 || result.metrics.failovers >= opts.max_failovers) return -1;
     ++result.metrics.failovers;
     if (!rehome_orphans()) return -1;
     if (!ckpt.valid) return 0;  // nothing snapshotted yet: Phase 1 runs fresh
@@ -701,7 +590,7 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
         ++result.metrics.exchange_rounds;
         // The exchange barrier is the coordinated checkpoint cut: all
         // kernels joined, replicas owned by this thread alone.
-        if (moved && opts.checkpoint.enabled &&
+        if (moved && opts.checkpoint &&
             rounds_since_ckpt >= std::max<std::uint64_t>(1, opts.checkpoint_exchanges))
           take_checkpoint();
       }
@@ -780,9 +669,12 @@ SccResult run_sharded_once(const Digraph& g, DevicePool& pool, unsigned num_shar
   result.labels = std::move(labels);
   // The fleet contract is always-complete labels (the labeled set at any
   // break is a union of complete SCCs, so the residual solves independently).
-  if (result.error) serial_fallback_max(g, result);
-  std::vector<vid> dense(result.labels.begin(), result.labels.end());
-  result.num_components = graph::normalize_labels(dense);
+  if (result.error) {
+    scc::complete_with_tarjan(g, result);
+  } else {
+    std::vector<vid> dense(result.labels.begin(), result.labels.end());
+    result.num_components = graph::normalize_labels(dense);
+  }
   return result;
 }
 
@@ -812,104 +704,21 @@ std::vector<vid> shard_cuts(const Digraph& g, unsigned shards) {
 }
 
 SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& opts) {
-  const unsigned num_shards = std::max(1u, opts.shards);
-
-  // For K <= 1 the run is the single-device solver with its defaults
-  // (frontier gating, the hash bag, the gated hub reorder); for K > 1 the
-  // per-shard kernels never reorder (run_sharded_once has no whole-graph
-  // permutation), pass round 0 so no frontier epoch is stamped (an
-  // exchange-raised value would have to re-stamp foreign epochs), and run
-  // no hash bag (a shard's bag cannot see exchange-raised boundary values).
-  // Chain chasing runs per shard: each shard's index covers only its owned
-  // edges, so the boundary exchange remains the sole cross-shard channel.
-  // The checkpoint config is forwarded: for K > 1 the coordinator runs its
-  // own exchange-barrier checkpoints, and for K <= 1 it reaches the
-  // single-device engine's resume machinery.
-  const EclOptions& eo = opts.ecl;
-
   // Devices that held a shard at the end of the latest attempt.
   std::vector<std::size_t> holders;
-  const auto attempt = [&]() -> SccResult {
+  const auto attempt = [&](const Digraph& graph) {
     holders.clear();
-    if (num_shards <= 1) {
-      // Degenerate fleet: whole graph on the first admitted device, same
-      // kernels, same certification ladder. When NO device is admitted this
-      // serves on device 0 anyway — deliberately (serving somewhere beats
-      // serving nowhere, the router's last-resort rule) — and says so in
-      // the metrics rather than falling through silently.
-      std::size_t index = 0;
-      bool any_admitted = false;
-      for (std::size_t i = 0; i < pool.size(); ++i)
-        if (pool.admits(i)) {
-          index = i;
-          any_admitted = true;
-          break;
-        }
-      EclOptions single = eo;
-      single.checkpoint = opts.checkpoint;
-      holders.push_back(index);
-      SccResult r = scc::ecl_scc(g, pool.at(index), single);
-      r.metrics.shards = 1;
-      r.metrics.pool_last_resort = !any_admitted;
-      return r;
-    }
-    // The coordinator checkpoints at exchange barriers instead of inside
-    // the per-shard kernels (a kernel-level resume would only rewind one
-    // replica and break lockstep).
-    EclOptions sharded_eo = eo;
-    sharded_eo.checkpoint.enabled = false;
-    return run_sharded_once(g, pool, num_shards, opts, sharded_eo, holders);
+    return run_sharded_once(graph, pool, opts, holders);
   };
+  SccResult result = opts.certify ? scc::run_resilient(attempt, g, opts.reverse_hint) : attempt(g);
   // A served attempt's success readmits a device in probation and dilutes
   // straggler records in each holder's window. A failed one records
   // nothing: a lockstep failure names no single device (failover and
   // straggler migration record their own blame), and admission spent no
   // probe, so a device in probation is admitted again by the rerun.
-  const auto served = [&](SccResult r) {
-    if (r.ok())
-      for (const std::size_t d : holders) pool.record(d, service::FaultKind::kNone);
-    return r;
-  };
-
-  SccResult result = attempt();
-  if (!opts.certify) return served(std::move(result));
-
-  // Satellite fix: ONE reverse adjacency for the whole ladder — the
-  // stitched certificate and every recovery rung share it (previously each
-  // certification call rebuilt its own).
-  std::optional<Digraph> local_reverse;
-  const Digraph* reverse = opts.reverse_hint;
-  if (reverse == nullptr) {
-    local_reverse.emplace(g.reverse());
-    reverse = &*local_reverse;
-  }
-
-  if (certified(g, result, reverse)) return served(std::move(result));
-
-  for (unsigned attempt_index = 0; attempt_index < opts.fresh_reruns; ++attempt_index) {
-    SccResult rerun = attempt();
-    merge_recovery_metrics(rerun.metrics, result.metrics);
-    ++rerun.metrics.fresh_reruns;
-    if (certified(g, rerun, reverse)) return served(std::move(rerun));
-    result = std::move(rerun);
-  }
-
-  // Final rung: serial Tarjan, renamed to max-member IDs so even the
-  // fallback stays bit-identical to single-device ECL naming.
-  SccResult final = std::move(result);
-  const SccResult serial = scc::tarjan(g);
-  std::vector<vid> comp_max(serial.num_components, 0);
-  for (vid v = 0; v < g.num_vertices(); ++v)
-    comp_max[serial.labels[v]] = std::max(comp_max[serial.labels[v]], v);
-  final.labels.resize(g.num_vertices());
-  for (vid v = 0; v < g.num_vertices(); ++v) final.labels[v] = comp_max[serial.labels[v]];
-  final.num_components = serial.num_components;
-  final.metrics.serial_fallback = true;
-  final.metrics.fallback_vertices = g.num_vertices();
-  final.metrics.certified = false;
-  if (const SccError ladder_error = final.error; certified(g, final, reverse))
-    final.error = ladder_error;  // keep what was survived; labels are good
-  return final;
+  if (result.ok())
+    for (const std::size_t d : holders) pool.record(d, service::FaultKind::kNone);
+  return result;
 }
 
 }  // namespace ecl::fleet

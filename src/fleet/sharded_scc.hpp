@@ -20,6 +20,10 @@
 //   Detect    every shard labels its OWNED vertices where vin == vout
 //   Phase 3   every shard filters its own worklist
 //
+// Detection and Phase 3 are core/propagate.hpp's kernels, the solver's own,
+// run over a shard's vertex range and worklist. K = 1 is one shard of the
+// same engine: no exchange, and no straggler check (there is no peer).
+//
 // Correctness (the §13 argument in one paragraph): max-ID propagation is a
 // monotone join fixpoint, so the exchange's max-reduce commutes with every
 // in-kernel store and the shard order is irrelevant. Any maximizing path
@@ -33,10 +37,12 @@
 // iterations (a stale converged copy max-reduced into a freshly reset one
 // would leak the previous iteration's signatures).
 //
-// The stitched result is held to the PR-6 contract: the certifier runs on
-// it (against ONE shared reverse adjacency — see ShardedOptions::
-// reverse_hint), with a bounded recovery ladder (fresh sharded rerun →
-// serial Tarjan named by maximum member) behind it.
+// The stitched result is served through the registry's recovery ladder
+// (scc::run_resilient, core/registry.hpp): certified against ONE shared
+// reverse adjacency (ShardedOptions::reverse_hint), then one fresh sharded
+// rerun, then serial Tarjan named by largest member. A run that breaks on
+// an error is completed by the same serial completion
+// (scc::complete_with_tarjan) before it reaches the ladder.
 //
 // Self-healing (DESIGN.md §14): the exchange barrier doubles as a
 // consistent global cut — every kernel has joined and the coordinator is
@@ -50,8 +56,8 @@
 // fault in the pool's health registry, re-homes the orphaned shards onto
 // surviving devices via the router's least-loaded policy, restores the
 // last checkpoint, and continues under the SAME absolute deadline — up to
-// max_failovers times and only while min_devices survive; past either
-// bound the error escalates to the certification ladder above. A per-shard
+// max_failovers times and only while a device survives; past either bound
+// the error escalates to the certification ladder above. A per-shard
 // sweep timer additionally flags stragglers (sweeps beyond a
 // median-multiple budget), feeds them to the health registry, and can
 // migrate the shard preemptively — gracefully, with no checkpoint restore,
@@ -68,42 +74,37 @@ using scc::Digraph;
 using scc::SccResult;
 
 struct ShardedOptions {
-  /// Shard count K. Shards are assigned to the pool's admitted devices
-  /// round-robin, so K may exceed the pool size (shards on one device run
-  /// sequentially within each lockstep step). K <= 1 runs single-device on
-  /// one pool device, with the same certification ladder.
+  /// Shard count K (0 counts as 1). Shards are assigned to the pool's
+  /// admitted devices round-robin, so K may exceed the pool size (shards on
+  /// one device run sequentially within each lockstep step).
   unsigned shards = 2;
-  /// Kernel options for the per-shard phases. For K > 1 the per-shard
-  /// checkpoint machinery is replaced by the coordinator's (the coordinator
-  /// owns the outer control loop; the options that remain preserve
-  /// bit-identical labels).
+  /// Kernel options for the per-shard phases: the watchdog and its
+  /// deadline, the iteration guard, the four paper optimizations and
+  /// chain_cap. The engine never reads `checkpoint` or `stall_policy` (the
+  /// coordinator checkpoints, and a broken run is always completed
+  /// serially), nor the density thresholds (no hash bag; shards chase
+  /// whenever their chain index has links).
   scc::EclOptions ecl;
-  /// Run the PR-6 certifier on the stitched labels and escalate through the
-  /// recovery ladder on failure.
+  /// Serve through the registry's recovery ladder (certify, one fresh
+  /// rerun, serial Tarjan). Off returns the single attempt as it ends.
   bool certify = true;
   /// Reverse of the input graph, if the caller already holds it (the
-  /// service's per-epoch cache). Null = built once here and shared by every
-  /// certification in the ladder — never rebuilt per shard or per rung.
+  /// service's per-epoch cache). Null = built once by the ladder and shared
+  /// by every certification in it — never rebuilt per shard or per rung.
   const Digraph* reverse_hint = nullptr;
-  /// Recovery ladder rung 2: fresh sharded reruns attempted (each fully
-  /// certified) before falling back to serial Tarjan.
-  unsigned fresh_reruns = 1;
-  /// Fleet checkpointing at exchange barriers: `enabled` switches it;
-  /// `max_resumes` is unused at this level (the bound on recoveries is
-  /// max_failovers). For K <= 1 the config is forwarded verbatim to the
-  /// single-device engine's resume machinery (DESIGN.md §12).
-  scc::CheckpointConfig checkpoint;
+  /// Fleet checkpoints at Phase-1 joins and exchange barriers (DESIGN.md
+  /// §14). Off takes none, so a failover has nothing to restore and a trip
+  /// escalates to the ladder.
+  bool checkpoint = true;
   /// Snapshot cadence in moving boundary EXCHANGES (one per lockstep sweep
   /// round). A checkpoint is also taken at every outer-iteration Phase-1
   /// join, so replay never crosses an outer iteration. Smaller = less work
   /// replayed on a failover, more snapshot copies on the happy path.
   std::uint64_t checkpoint_exchanges = 32;
-  /// Live-failover bounds: at most this many device-ejection events are
-  /// survived per run, and a failover is only attempted while at least
-  /// min_devices devices remain un-ejected. Past either bound the error
-  /// escalates to the fresh-rerun / serial-Tarjan ladder.
+  /// Live-failover bound: at most this many device-ejection events are
+  /// survived per run, each only while an un-ejected device is left. Past
+  /// it the error escalates to the fresh-rerun / serial-Tarjan ladder.
   unsigned max_failovers = 2;
-  unsigned min_devices = 1;
   /// Straggler escalation: a shard whose sweep takes longer than
   /// median_multiple x the (lower-)median shard sweep time AND longer than
   /// min_seconds is flagged; `patience` consecutive flags record a
@@ -121,11 +122,13 @@ struct ShardedOptions {
 /// Runs the sharded fixpoint over the pool's devices. Always returns a
 /// complete labeling (max-member IDs, bit-identical to single-device
 /// ecl_scc); `error` carries what was survived when a ladder rung or the
-/// watchdog tripped. SccMetrics::shards / boundary_vertices /
-/// exchange_rounds report the fleet accounting. An attempt that converged
-/// without error (and certified, with `certify` on) records a success in
-/// the pool's health registry for every device that held a shard.
-/// Admission spends no probation probe.
+/// watchdog tripped, and an exception thrown by an attempt becomes
+/// SccStatus::kException, which the ladder reruns (with `certify` off it
+/// propagates). SccMetrics::shards / boundary_vertices / exchange_rounds
+/// report the fleet accounting. An attempt that converged without error
+/// (and certified, with `certify` on) records a success in the pool's
+/// health registry for every device that held a shard. Admission spends no
+/// probation probe.
 SccResult sharded_scc(const Digraph& g, DevicePool& pool, const ShardedOptions& opts = {});
 
 /// The edge-balanced contiguous vertex cuts used to partition `g` into K

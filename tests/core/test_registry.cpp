@@ -130,6 +130,24 @@ TEST(Registry, RunResilientOnAbsorbsAStalledDevice) {
   EXPECT_TRUE(scc::verify_scc(g, r.labels).ok);
 }
 
+TEST(Registry, RunResilientTarjanRungNamesByLargestMember) {
+  // Every store lost: each vertex keeps its own signature, so both attempts
+  // label 48 singletons that the certificate rejects, and the Tarjan rung
+  // serves. It names the cycle as the solvers do, by its largest member.
+  device::DeviceProfile profile = device::tiny_profile();
+  profile.fault_plan.seed = 11;
+  profile.fault_plan.lost_update = true;
+  profile.fault_plan.store_lose_probability = 1.0;
+  device::Device dev(profile);
+  const auto g = graph::cycle_graph(48);
+  const auto r = scc::run_resilient_on("ecl-a100", g, dev);
+  EXPECT_EQ(r.labels, tarjan_max_labels(g));
+  EXPECT_EQ(r.num_components, 1u);
+  EXPECT_TRUE(r.metrics.certified);
+  EXPECT_TRUE(r.metrics.serial_fallback);
+  EXPECT_EQ(r.metrics.fresh_reruns, 1u);
+}
+
 TEST(Registry, RunWithDeadlineCancelsEveryEclConfiguration) {
   Rng rng(7);
   const auto g = graph::random_digraph(4000, 8000, rng);
